@@ -20,7 +20,7 @@ from .coefficients import (
     gram_psd_check,
     phi_alpha,
     phi_alpha_eval,
-    reduced_rotation_elements,
+    vanishing_scan,
 )
 from .errors import ContractError, ParseError
 from .oracles import (
@@ -52,24 +52,39 @@ def _parse_fraction(text: str) -> Fraction:
         raise ParseError(f"bad rational literal {text!r}") from exc
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="ascii") as fh:
+            return fh.read().strip()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not an ASCII text file") from exc
+    except OSError as exc:
+        raise ContractError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON: {exc}") from exc
+
+
 def _load_element(source: str) -> VElement:
     try:
         return parse_element_literal(source)
     except ParseError:
-        if os.path.exists(source):
-            with open(source, encoding="ascii") as fh:
-                text = fh.read().strip()
-            if text.startswith("{"):
-                return element_from_json(json.loads(text))
-            return parse_element_literal(text)
-        raise
+        if not os.path.exists(source):
+            raise
+    text = _read_text(source)
+    if text.startswith("{"):
+        return element_from_json(_parse_json(text))
+    return parse_element_literal(text)
 
 
 def _load_elements_file(path: str) -> list[VElement]:
-    with open(path, encoding="ascii") as fh:
-        text = fh.read().strip()
+    text = _read_text(path)
     if text.startswith("["):
-        return [element_from_json(obj) for obj in json.loads(text)]
+        return [element_from_json(obj) for obj in _parse_json(text)]
     return [parse_element_literal(line) for line in text.splitlines() if line.strip()]
 
 
@@ -112,12 +127,8 @@ def _cmd_element(args, out) -> int:
     elif args.action == "eval":
         if args.at is None:
             raise ContractError("element eval: --at is required")
-        x = parse_dyadic(args.at)
-        y = eval_pl(elems[0], x)
-        if args.float:
-            print(repr(y.to_fraction().numerator / y.to_fraction().denominator), file=out)
-        else:
-            print(str(y), file=out)
+        y = eval_pl(elems[0], parse_dyadic(args.at))
+        print(repr(float(y)) if args.float else str(y), file=out)
     return 0
 
 
@@ -139,29 +150,25 @@ def _cmd_phi(args, out) -> int:
 
 def _cmd_scan(args, out) -> int:
     alpha = _parse_fraction(args.alpha)
-    rows = []
-    per_n: dict[int, list[Fraction]] = {n: [] for n in range(1, args.max_leaves + 1)}
-    for g in reduced_rotation_elements(args.max_leaves):
-        value = phi_alpha_eval(g, alpha)
-        per_n[g.leaf_count].append(value)
-        rows.append(
-            [
-                format_element_literal(g),
-                g.leaf_count,
-                alpha.numerator,
-                alpha.denominator,
-                value.numerator,
-                value.denominator,
-            ]
-        )
+    table = vanishing_scan(alpha, args.max_leaves)
+    rows = [
+        [
+            format_element_literal(g),
+            row.leaves,
+            alpha.numerator,
+            alpha.denominator,
+            value.numerator,
+            value.denominator,
+        ]
+        for row in table
+        for g, value in row.values
+    ]
     _emit_rows(rows, SWEEP_FIELDS, args.csv, out)
-    for n in range(1, args.max_leaves + 1):
-        expected = alpha ** (2 * n - 2)
-        deviation = max((abs(v - expected) for v in per_n[n]), default=Fraction(0))
+    for row in table:
         print(
-            f"# n={n} count={len(per_n[n])}"
-            f" phi={expected.numerator}/{expected.denominator}"
-            f" max_deviation={deviation.numerator}/{deviation.denominator}",
+            f"# n={row.leaves} count={row.count}"
+            f" phi={row.phi_value.numerator}/{row.phi_value.denominator}"
+            f" max_deviation={row.max_deviation.numerator}/{row.max_deviation.denominator}",
             file=out,
         )
     return 0

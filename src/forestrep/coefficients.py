@@ -288,6 +288,7 @@ class VanishRow(NamedTuple):
     count: int
     phi_value: Fraction
     max_deviation: Fraction
+    values: tuple[tuple[VElement, Fraction], ...]  # (element, phi) per pair
 
 
 def reduced_rotation_elements(max_leaves: int, bound: int = 12):
@@ -307,20 +308,21 @@ def vanishing_scan(alpha, max_leaves: int, bound: int = 12) -> list[VanishRow]:
     """Tabulate phi_alpha over all reduced rotation pairs by leaf count.
 
     For each n the computed value must be exactly alpha^(2n-2); the deviation
-    column records the largest absolute difference actually observed.
+    column records the largest absolute difference actually observed, and
+    ``values`` keeps each (element, value) pair in enumeration order.
     """
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise ContractError("vanishing_scan: alpha must lie in [0, 1]")
     if max_leaves > bound:
         raise ContractError(f"vanishing_scan: max_leaves {max_leaves} exceeds bound {bound}")
-    per_n: dict[int, list[Fraction]] = {n: [] for n in range(1, max_leaves + 1)}
+    per_n: dict[int, list[tuple[VElement, Fraction]]] = {n: [] for n in range(1, max_leaves + 1)}
     for g in reduced_rotation_elements(max_leaves, bound):
-        per_n[g.leaf_count].append(phi_alpha_eval(g, alpha))
+        per_n[g.leaf_count].append((g, phi_alpha_eval(g, alpha)))
     rows = []
     for n in range(1, max_leaves + 1):
         expected = alpha ** (2 * n - 2)
-        values = per_n[n]
-        deviation = max((abs(v - expected) for v in values), default=Fraction(0))
-        rows.append(VanishRow(n, len(values), expected, deviation))
+        values = tuple(per_n[n])
+        deviation = max((abs(v - expected) for _, v in values), default=Fraction(0))
+        rows.append(VanishRow(n, len(values), expected, deviation, values))
     return rows

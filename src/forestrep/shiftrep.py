@@ -154,31 +154,15 @@ def _resolved_powers(f: Forest, input_powers: Sequence[int]) -> list[int]:
     return powers
 
 
-_PAIR_TREES = ("q", "a")
-
-
 def c_constant(z) -> Fraction:
     """The scalar by which the two commutator trees pair:
     <shift z, z>^2 * <z, shift^2 z>.
 
-    Cross-checked against the symbolic leaf-by-leaf pairing of the two trees;
-    the input slot must carry equal shift powers on both sides so that its
-    contribution factors out of the scalar.
+    This is the closed form of the leaf-by-leaf pairing of trees q and a,
+    i.e. of kn_coefficient(0, [z], z).
     """
     z = _as_unit(z)
-    value = z.inner_shifts(1, 0) ** 2 * z.inner_shifts(0, 2)
-    syms_q = forest_apply_shift(Forest((named_tree("q"),)))
-    syms_a = forest_apply_shift(Forest((named_tree("a"),)))
-    check = Fraction(1)
-    for sq, sa in zip(syms_q, syms_a):
-        if sq.root is not None or sa.root is not None:
-            if sq.root != sa.root or sq.power != sa.power:
-                raise ArithmeticError("c_constant: input dependence does not factor out")
-            continue
-        check *= z.inner_shifts(sq.power, sa.power)
-    if check != value:
-        raise ArithmeticError("c_constant: closed form disagrees with the leaf pairing")
-    return value
+    return z.inner_shifts(1, 0) ** 2 * z.inner_shifts(0, 2)
 
 
 def kn_coefficient(n: int, xi: Sequence, zeta_vec, bound: int = DEFAULT_WINDOW_BOUND) -> Fraction:
@@ -208,14 +192,9 @@ def kn_coefficient(n: int, xi: Sequence, zeta_vec, bound: int = DEFAULT_WINDOW_B
     return total
 
 
-def almost_invariance(g: VElement, m: int, bound: int = DEFAULT_WINDOW_BOUND) -> Fraction:
-    """Exact overlap <pi(g) xi_m, xi_m> against the level-m reference vector
-    (the all-equal elementary tensor over the complete tree with 2^m leaves).
-
-    Both sides are rewritten over a common refinement tree; every component
-    is then a shift power of the same window vector, so the overlap is the
-    product of rational shifted inner products.
-    """
+def _overlap(g: VElement, m: int, bound: int) -> tuple[Fraction, Tree]:
+    """The overlap <pi(g) xi_m, xi_m> and g's range tree refined so that its
+    domain contains the level-m tree."""
     if m < 1 or m > bound:
         raise ContractError(f"almost_invariance: level {m} outside 1..{bound}")
     z = zeta(m, bound)
@@ -239,7 +218,18 @@ def almost_invariance(g: VElement, m: int, bound: int = DEFAULT_WINDOW_BOUND) ->
     value = Fraction(1)
     for a, b in zip(left, right):
         value *= z.inner_shifts(a, b)
-    return value
+    return value, range_tree
+
+
+def almost_invariance(g: VElement, m: int, bound: int = DEFAULT_WINDOW_BOUND) -> Fraction:
+    """Exact overlap <pi(g) xi_m, xi_m> against the level-m reference vector
+    (the all-equal elementary tensor over the complete tree with 2^m leaves).
+
+    Both sides are rewritten over a common refinement tree; every component
+    is then a shift power of the same window vector, so the overlap is the
+    product of rational shifted inner products.
+    """
+    return _overlap(g, m, bound)[0]
 
 
 def invariance_bound(m: int) -> Fraction:
@@ -250,11 +240,7 @@ def invariance_bound(m: int) -> Fraction:
 def almost_invariance_report(g: VElement, m: int, bound: int = DEFAULT_WINDOW_BOUND) -> dict:
     """Coefficient, bound and the depth condition under which the bound is
     guaranteed (domain no deeper than m once refined, range no deeper than 2m)."""
-    value = almost_invariance(g, m, bound)
-    level = complete_tree(m)
-    w1 = merge_trees(g.domain, level)
-    p1 = residual_forest(w1, g.domain)
-    range_tree = graft(g.range, permute_forest(g.perm.inverse(), p1))
+    value, range_tree = _overlap(g, m, bound)
     ref = invariance_bound(m)
     return {
         "m": m,

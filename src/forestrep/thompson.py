@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import ContractError, ParseError
 from .trees import (
@@ -45,6 +47,8 @@ class Perm:
     def __init__(self, images):
         images = tuple(images)
         n = len(images)
+        if set(map(type, images)) - {int}:
+            raise ContractError(f"Perm: images {images} must be ints")
         if sorted(images) != list(range(1, n + 1)):
             raise ContractError(f"Perm: {images} is not a bijection of 1..{n}")
         self.images = images
@@ -90,12 +94,8 @@ class Perm:
 
     def rotation_offset(self) -> int | None:
         """The c with images[k] = ((k-1+c) mod n)+1, or None if not a rotation."""
-        n = self.size
         c = self.images[0] - 1
-        for k in range(1, n + 1):
-            if self.images[k - 1] != ((k - 1 + c) % n) + 1:
-                return None
-        return c
+        return c if self == Perm.rotation(self.size, c) else None
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
@@ -257,12 +257,6 @@ def _reduce(domain: Tree, range_: Tree, perm: Perm, pick=min):
         perm = Perm(images)
 
 
-def make_element(domain: Tree, range_: Tree, bijection=None) -> VElement:
-    """Canonical reduced element sending the domain partition onto the range
-    partition along the leaf bijection."""
-    return VElement(domain, range_, bijection)
-
-
 def multiply(g: VElement, h: VElement) -> VElement:
     """Group product; (g*h) acts as g after h on [0, 1)."""
     w = merge_trees(g.domain, h.range)
@@ -289,95 +283,21 @@ def classify(g: VElement) -> str:
 
 
 # ---------------------------------------------------------------------------
-# dyadic rationals and the piecewise-linear action
+# dyadic points and the piecewise-linear action
 
-class Dyadic:
-    """Exact dyadic rational num / 2^exp in canonical form (num odd or exp 0)."""
-
-    __slots__ = ("num", "exp")
-
-    def __init__(self, num: int, exp: int = 0):
-        if exp < 0:
-            num <<= -exp
-            exp = 0
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
-        self.num = num
-        self.exp = exp
-
-    @classmethod
-    def from_fraction(cls, x: Fraction) -> "Dyadic":
-        den = x.denominator
-        exp = den.bit_length() - 1
-        if den != 1 << exp:
-            raise ContractError(f"{x} is not a dyadic rational")
-        return cls(x.numerator, exp)
-
-    def to_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.exp)
-
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        e = max(self.exp, other.exp)
-        return Dyadic(
-            (self.num << (e - self.exp)) + (other.num << (e - other.exp)), e
-        )
-
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        e = max(self.exp, other.exp)
-        return Dyadic(
-            (self.num << (e - self.exp)) - (other.num << (e - other.exp)), e
-        )
-
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic(self.num * other.num, self.exp + other.exp)
-
-    def times_pow2(self, s: int) -> "Dyadic":
-        return Dyadic(self.num, self.exp - s)
-
-    def _cmp_key(self, other):
-        e = max(self.exp, other.exp)
-        return self.num << (e - self.exp), other.num << (e - other.exp)
-
-    def __eq__(self, other):
-        return isinstance(other, Dyadic) and (self.num, self.exp) == (other.num, other.exp)
-
-    def __lt__(self, other):
-        a, b = self._cmp_key(other)
-        return a < b
-
-    def __le__(self, other):
-        a, b = self._cmp_key(other)
-        return a <= b
-
-    def __hash__(self):
-        return hash((self.num, self.exp))
-
-    def __str__(self):
-        if self.exp == 0:
-            return str(self.num)
-        return f"{self.num}/{1 << self.exp}"
-
-    def __repr__(self):
-        return f"Dyadic({self.num}, {self.exp})"
-
-
-def parse_dyadic(text: str) -> Dyadic:
+def parse_dyadic(text: str) -> Fraction:
+    """A dyadic rational written n, n/d with d a power of 2, or n/2^e."""
     text = text.strip()
-    m = re.fullmatch(r"(-?\d+)", text)
-    if m:
-        return Dyadic(int(m.group(1)))
-    m = re.fullmatch(r"(-?\d+)\s*/\s*(\d+)", text)
+    m = re.fullmatch(r"(-?\d+)(?:\s*/\s*(2\^)?(\d+))?", text)
     if m is None:
-        m = re.fullmatch(r"(-?\d+)\s*/\s*2\^(\d+)", text)
-        if m is None:
-            raise ParseError(f"bad dyadic literal {text!r}")
-        return Dyadic(int(m.group(1)), int(m.group(2)))
-    den = int(m.group(2))
-    exp = den.bit_length() - 1
-    if den != 1 << exp:
+        raise ParseError(f"bad dyadic literal {text!r}")
+    num, pow2, den = m.groups()
+    den = int(den or 1)
+    if pow2:
+        den = 1 << den
+    if den < 1 or den & (den - 1):
         raise ParseError(f"denominator of {text!r} is not a power of 2")
-    return Dyadic(int(m.group(1)), exp)
+    return Fraction(int(num), den)
 
 
 @lru_cache(maxsize=None)
@@ -402,62 +322,35 @@ def pl_value(domain: Tree, range_: Tree, perm: Perm, x: Fraction) -> Fraction:
     """Value at x of the map sending domain cell k affinely onto range cell perm(k)."""
     if not 0 <= x < 1:
         raise ContractError("pl_value: argument must lie in [0, 1)")
-    node = domain
-    start = Fraction(0)
-    depth = 0
-    k = 1
-    while not node.is_leaf:
-        half = Fraction(1, 2 ** (depth + 1))
-        if x < start + half:
-            node = node.left
-        else:
-            k += node.left.leaf_count
-            start += half
-            node = node.right
-        depth += 1
+    cells = leaf_cells(domain)
+    k = bisect_right(cells, x, key=itemgetter(0))
+    start, depth = cells[k - 1]
     rstart, rdepth = leaf_cells(range_)[perm(k) - 1]
     return rstart + (x - start) * Fraction(2**depth, 2**rdepth)
 
 
-def eval_pl(g: VElement, x) -> Dyadic:
+def eval_pl(g: VElement, x) -> Fraction:
     """Apply g's piecewise-linear action to a dyadic point of [0, 1)."""
-    if isinstance(x, Dyadic):
-        d = x
-    elif isinstance(x, (Fraction, int)):
-        d = Dyadic.from_fraction(Fraction(x))
-    else:
-        raise ContractError("eval_pl: expected a Dyadic or dyadic Fraction")
-    return Dyadic.from_fraction(pl_value(g.domain, g.range, g.perm, d.to_fraction()))
-
-
-def pl_segments(domain: Tree, range_: Tree, perm: Perm):
-    """The map as (x0, x1, y0, y1) segments: [x0, x1) is sent affinely onto [y0, y1)."""
-    dcells = leaf_cells(domain)
-    rcells = leaf_cells(range_)
-    segs = []
-    for k in range(1, domain.leaf_count + 1):
-        x0, dd = dcells[k - 1]
-        y0, rd = rcells[perm(k) - 1]
-        segs.append((x0, x0 + Fraction(1, 2**dd), y0, y0 + Fraction(1, 2**rd)))
-    return segs
+    if not isinstance(x, (Fraction, int)):
+        raise ContractError("eval_pl: expected a dyadic Fraction")
+    x = Fraction(x)
+    if x.denominator & (x.denominator - 1):
+        raise ContractError(f"{x} is not a dyadic rational")
+    return pl_value(g.domain, g.range, g.perm, x)
 
 
 def pl_maps_equal(a, b) -> bool:
-    """Exact equality of two piecewise-linear maps given as raw triples."""
-    segs_a = pl_segments(*a)
-    segs_b = pl_segments(*b)
-    cuts = sorted({s[0] for s in segs_a} | {s[0] for s in segs_b} | {Fraction(1)})
+    """Exact equality of two piecewise-linear maps given as raw triples.
 
-    def at(segs, x):
-        for x0, x1, y0, y1 in segs:
-            if x0 <= x < x1:
-                return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
-        raise AssertionError("point not covered")
-
+    Between consecutive cell starts of either domain both maps are affine, so
+    they agree there exactly when they agree at the left end and the midpoint.
+    """
+    starts = {c[0] for c in leaf_cells(a[0])} | {c[0] for c in leaf_cells(b[0])}
+    cuts = sorted(starts | {Fraction(1)})
     for lo, hi in zip(cuts, cuts[1:]):
-        mid = (lo + hi) / 2
-        if at(segs_a, lo) != at(segs_b, lo) or at(segs_a, mid) != at(segs_b, mid):
-            return False
+        for x in (lo, (lo + hi) / 2):
+            if pl_value(*a, x) != pl_value(*b, x):
+                return False
     return True
 
 
@@ -555,6 +448,8 @@ def format_element_literal(g: VElement) -> str:
 
 
 def _parse_tree_text(text: str) -> Tree:
+    if not isinstance(text, str):
+        raise ParseError(f"tree must be given as text, not {text!r}")
     text = text.strip()
     if text in _TREE_PRODUCTS:
         return named_tree(text)
@@ -600,10 +495,14 @@ def element_to_json(g: VElement) -> dict:
 
 
 def element_from_json(data: dict) -> VElement:
+    if not isinstance(data, dict):
+        raise ParseError(f"element must be a JSON object, not {data!r}")
     try:
         domain = _parse_tree_text(data["domain"])
         range_ = _parse_tree_text(data["range"])
     except KeyError as exc:
         raise ParseError(f"element object missing field {exc}") from exc
     perm = data.get("perm")
+    if perm is not None and not isinstance(perm, list):
+        raise ParseError(f"bijection must be a JSON list, not {perm!r}")
     return VElement(domain, range_, Perm(perm) if perm is not None else None)

@@ -395,14 +395,6 @@ def _prefixes(t: Tree) -> list[tuple[Tree, tuple[Tree, ...]]]:
     return items
 
 
-def is_prefix(z: Tree, w: Tree) -> bool:
-    if z.is_leaf:
-        return True
-    if w.is_leaf:
-        return False
-    return is_prefix(z.left, w.left) and is_prefix(z.right, w.right)
-
-
 def residual_forest(w: Tree, z: Tree) -> Forest:
     """The forest f with compose(f, z) = w; z must be a prefix of w."""
     out: list[Tree] = []

@@ -49,11 +49,27 @@ def test_element_subcommands(capsys):
     assert code == 0 and out.strip() == "./."
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "phi", "--element", "not a literal", "--symbolic")
     assert code == 2 and "parse error" in err
     code, _, err = run(capsys, "phi", "--element", "g", "--alpha", "3/2")
     assert code == 1 and "contract violation" in err
+    code, _, err = run(capsys, "scan-vanishing", "--alpha", "1/2", "--max-leaves", "13")
+    assert code == 1 and err.count("\n") == 1 and "contract violation" in err
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('[{"domain": "f1", "range": ')
+    code, _, err = run(capsys, "gram", "--elements", str(malformed), "--alpha", "1/2")
+    assert code == 2 and err.count("\n") == 1 and "parse error" in err
+    (tmp_path / "one.json").write_text('{"domain": "f1"')
+    code, _, err = run(capsys, "phi", "--element", str(tmp_path / "one.json"), "--symbolic")
+    assert code == 2 and err.count("\n") == 1 and "parse error" in err
+    (tmp_path / "latin1.txt").write_bytes(b"g\n\xff\n")
+    code, _, err = run(capsys, "gram", "--elements", str(tmp_path / "latin1.txt"), "--alpha", "1/2")
+    assert code == 2 and err.count("\n") == 1 and "parse error" in err
+    code, _, err = run(capsys, "gram", "--elements", str(tmp_path / "missing.txt"), "--alpha", "1/2")
+    assert code == 1 and err.count("\n") == 1 and "contract violation" in err
+    code, _, err = run(capsys, "element", "reduce", "f1/f1~[1.0, 2]")
+    assert code == 1 and err.count("\n") == 1 and "contract violation" in err
 
 
 def test_scan_vanishing_csv(tmp_path, capsys):
@@ -70,6 +86,17 @@ def test_scan_vanishing_csv(tmp_path, capsys):
         assert Fraction(int(row["phi_num"]), int(row["phi_den"])) == Fraction(1, 2) ** (2 * n - 2)
         assert (int(row["alpha_num"]), int(row["alpha_den"])) == (1, 2)
     assert "max_deviation=0/1" in out
+    code, out, _ = run(
+        capsys, "scan-vanishing", "--alpha", "1/3", "--max-leaves", "5", "--csv", str(target)
+    )
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("# n=")] == [
+        "# n=1 count=1 phi=1/1 max_deviation=0/1",
+        "# n=2 count=1 phi=1/9 max_deviation=0/1",
+        "# n=3 count=8 phi=1/81 max_deviation=0/1",
+        "# n=4 count=66 phi=1/729 max_deviation=0/1",
+        "# n=5 count=616 phi=1/6561 max_deviation=0/1",
+    ]
 
 
 def test_sweep_csv(tmp_path, capsys):

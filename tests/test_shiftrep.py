@@ -118,18 +118,23 @@ def test_forest_apply_shift_power_bound():
 
 def test_c_constant_zeta():
     assert c_constant(zeta(1)) == Fraction(1575, 2048)
+    for m in (1, 2, 3):
+        z = zeta(m)
+        assert c_constant(z) == kn_coefficient(0, [z], z)
 
 
 def test_c_constant_point_mass():
     delta = UnitVec(SparseVec({1: 1}), Fraction(1))
     assert c_constant(delta) == 0
+    assert kn_coefficient(0, [delta], delta) == 0
 
 
 def test_c_constant_below_one():
-    for m in (1, 2):
-        z = zeta(m)
+    rng = random.Random(7)
+    for z in [zeta(1), zeta(2)] + [random_unit(rng) for _ in range(20)]:
         c = c_constant(z)
         assert abs(c) < 1
+        assert c == kn_coefficient(0, [z], z)
 
 
 # ---------------------------------------------------------------------------

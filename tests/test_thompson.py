@@ -5,7 +5,6 @@ import pytest
 
 from forestrep.errors import ContractError, ParseError
 from forestrep.thompson import (
-    Dyadic,
     Perm,
     SymmetricForest,
     VElement,
@@ -20,7 +19,6 @@ from forestrep.thompson import (
     format_element_literal,
     inflate,
     inflated_element,
-    make_element,
     named_tree,
     parse_dyadic,
     parse_element_literal,
@@ -61,6 +59,10 @@ def test_perm_basics():
     assert Perm((2, 1, 3)).rotation_offset() is None
     with pytest.raises(ContractError):
         Perm((1, 1, 2))
+    with pytest.raises(ContractError):
+        Perm([1.0, 2])
+    with pytest.raises(ContractError):
+        Perm([True, 2])
 
 
 def test_inflate_block_example():
@@ -196,27 +198,24 @@ def test_classify_closed_under_products():
 # dyadics and the interval action
 
 def test_dyadic_arithmetic():
-    x = Dyadic(3, 3)
-    assert str(x) == "3/8"
-    assert x + Dyadic(1, 3) == Dyadic(1, 1)
-    assert Dyadic(4, 2) == Dyadic(1, 0)
+    x = Fraction(3, 8)
     assert parse_dyadic("3/8") == x
     assert parse_dyadic("3/2^3") == x
-    assert parse_dyadic("1") == Dyadic(1)
-    assert Dyadic(1, 2) < Dyadic(1, 1)
+    assert parse_dyadic("1") == Fraction(1)
     with pytest.raises(ParseError):
         parse_dyadic("1/3")
-    assert Dyadic.from_fraction(Fraction(5, 8)).exp == 3
+    with pytest.raises(ParseError):
+        parse_dyadic("1/0")
 
 
 def test_eval_pl_examples():
     ident = VElement.identity()
     for k in range(8):
-        x = Dyadic(k, 3)
+        x = Fraction(k, 8)
         assert eval_pl(ident, x) == x
-    assert eval_pl(x0(), Fraction(1, 2)) == Dyadic(1, 2)
-    assert eval_pl(x0(), Fraction(3, 4)) == Dyadic(1, 1)
-    assert eval_pl(rotation2(), Fraction(0)) == Dyadic(1, 1)
+    assert eval_pl(x0(), Fraction(1, 2)) == Fraction(1, 4)
+    assert eval_pl(x0(), Fraction(3, 4)) == Fraction(1, 2)
+    assert eval_pl(rotation2(), Fraction(0)) == Fraction(1, 2)
     with pytest.raises(ContractError):
         eval_pl(x0(), Fraction(5, 4))
     with pytest.raises(ContractError):
@@ -231,21 +230,21 @@ def test_eval_pl_composition():
         gh = g * h
         for k in range(0, 64, 7):
             x = Fraction(k, 64)
-            assert eval_pl(gh, x) == eval_pl(g, eval_pl(h, x).to_fraction())
+            assert eval_pl(gh, x) == eval_pl(g, eval_pl(h, x))
 
 
 def test_eval_pl_bijective_and_monotone_on_cells():
     rng = random.Random(23)
     for _ in range(8):
         g = random_product(rng, 4)
-        outputs = [eval_pl(g, Fraction(k, 256)).to_fraction() for k in range(256)]
+        outputs = [eval_pl(g, Fraction(k, 256)) for k in range(256)]
         assert len(set(outputs)) == 256
         # monotone within each domain cell
         from forestrep.thompson import leaf_cells
         for start, depth in leaf_cells(g.domain):
             step = Fraction(1, 2 ** (depth + 3))
             points = [start + i * step for i in range(8)]
-            values = [eval_pl(g, p).to_fraction() for p in points]
+            values = [eval_pl(g, p) for p in points]
             assert values == sorted(values)
 
 
@@ -301,10 +300,13 @@ def test_json_round_trip():
     assert set(data) == {"domain", "range", "perm"}
     assert element_from_json(data) == g
     assert element_from_json({"domain": "f1", "range": "f1"}) == rotation2() * rotation2()
+    for bad in ("f1", ["f1", "f1"], {"domain": 1, "range": "f1"}, {"domain": "f1", "range": "f1", "perm": "21"}):
+        with pytest.raises(ParseError):
+            element_from_json(bad)
 
 
 def test_make_element_validation():
     with pytest.raises(ContractError):
-        make_element(parse_tree("f1"), parse_tree("f1 f1"))
+        VElement(parse_tree("f1"), parse_tree("f1 f1"))
     with pytest.raises(ContractError):
-        make_element(parse_tree("f1"), parse_tree("f1"), Perm((1, 2, 3)))
+        VElement(parse_tree("f1"), parse_tree("f1"), Perm((1, 2, 3)))
