@@ -88,7 +88,7 @@ def _load_elements_file(path: str) -> list[VElement]:
     return [parse_element_literal(line) for line in text.splitlines() if line.strip()]
 
 
-def _show_fraction(x: Fraction, as_float: bool) -> str:
+def _show_fraction(x: Fraction, as_float: bool = False) -> str:
     if as_float:
         return repr(float(x))
     return f"{x.numerator}/{x.denominator}"
@@ -167,8 +167,8 @@ def _cmd_scan(args, out) -> int:
     for row in table:
         print(
             f"# n={row.leaves} count={row.count}"
-            f" phi={row.phi_value.numerator}/{row.phi_value.denominator}"
-            f" max_deviation={row.max_deviation.numerator}/{row.max_deviation.denominator}",
+            f" phi={_show_fraction(row.phi_value)}"
+            f" max_deviation={_show_fraction(row.max_deviation)}",
             file=out,
         )
     return 0
@@ -226,8 +226,8 @@ def _cmd_kazhdan(args, out) -> int:
                     {
                         "n": args.n,
                         "m": args.m,
-                        "coefficient": f"{coeff.numerator}/{coeff.denominator}",
-                        "reference": f"{reference.numerator}/{reference.denominator}",
+                        "coefficient": _show_fraction(coeff),
+                        "reference": _show_fraction(reference),
                         "verdict": verdict,
                     }
                 ),
@@ -238,8 +238,8 @@ def _cmd_kazhdan(args, out) -> int:
             [
                 args.n,
                 args.m,
-                f"{coeff.numerator}/{coeff.denominator}",
-                f"{reference.numerator}/{reference.denominator}",
+                _show_fraction(coeff),
+                _show_fraction(reference),
                 verdict,
             ]
         ]
@@ -250,14 +250,14 @@ def _cmd_kazhdan(args, out) -> int:
     if args.json:
         payload = dict(report)
         for key in ("coefficient", "bound"):
-            payload[key] = f"{report[key].numerator}/{report[key].denominator}"
+            payload[key] = _show_fraction(report[key])
         print(json.dumps(payload), file=out)
         return 0
     rows = [
         [
             report["m"],
-            f"{report['coefficient'].numerator}/{report['coefficient'].denominator}",
-            f"{report['bound'].numerator}/{report['bound'].denominator}",
+            _show_fraction(report["coefficient"]),
+            _show_fraction(report["bound"]),
             report["satisfied"],
         ]
     ]

@@ -291,11 +291,11 @@ class VanishRow(NamedTuple):
     values: tuple[tuple[VElement, Fraction], ...]  # (element, phi) per pair
 
 
-def reduced_rotation_elements(max_leaves: int, bound: int = 12):
+def reduced_rotation_elements(max_leaves: int):
     """All reduced (tree, tree, rotation) triples with up to max_leaves leaves,
     in deterministic order."""
     for n in range(1, max_leaves + 1):
-        trees = enumerate_trees(n, bound=max(bound, max_leaves))
+        trees = enumerate_trees(n, bound=max_leaves)
         for range_tree in trees:
             for domain_tree in trees:
                 for c in range(n):
@@ -317,7 +317,7 @@ def vanishing_scan(alpha, max_leaves: int, bound: int = 12) -> list[VanishRow]:
     if max_leaves > bound:
         raise ContractError(f"vanishing_scan: max_leaves {max_leaves} exceeds bound {bound}")
     per_n: dict[int, list[tuple[VElement, Fraction]]] = {n: [] for n in range(1, max_leaves + 1)}
-    for g in reduced_rotation_elements(max_leaves, bound):
+    for g in reduced_rotation_elements(max_leaves):
         per_n[g.leaf_count].append((g, phi_alpha_eval(g, alpha)))
     rows = []
     for n in range(1, max_leaves + 1):

@@ -16,10 +16,9 @@ from .thompson import (
     Perm,
     VElement,
     family_gn,
-    inflate,
     multiply,
-    permute_forest,
     pl_maps_equal,
+    refine,
     standard_generators,
 )
 from .trees import (
@@ -174,10 +173,8 @@ def _inflated_representative(g: VElement, rng: random.Random):
     every domain leaf, carried through the bijection."""
     pool = [t for n in (1, 2, 3) for t in enumerate_trees(n)]
     attach = Forest(tuple(rng.choice(pool) for _ in range(g.leaf_count)))
-    raw_domain = graft(g.domain, attach)
-    raw_range = graft(g.range, permute_forest(g.perm.inverse(), attach))
-    raw_perm = inflate(g.perm, [t.leaf_count for t in attach.trees])
-    return raw_domain, raw_range, raw_perm
+    raw_range, raw_perm = refine(g.range, g.perm, attach)
+    return graft(g.domain, attach), raw_range, raw_perm
 
 
 def _speculative_candidates(g: VElement):

@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import ContractError
-from .thompson import VElement, inflate, named_tree, permute_forest
-from .trees import Forest, Tree, complete_tree, graft, merge_trees, residual_forest
+from .thompson import VElement, named_tree, refine
+from .trees import Forest, Tree, complete_tree, merge_trees, residual_forest
 
 DEFAULT_WINDOW_BOUND = 3
 
@@ -165,7 +165,7 @@ def c_constant(z) -> Fraction:
     return z.inner_shifts(1, 0) ** 2 * z.inner_shifts(0, 2)
 
 
-def kn_coefficient(n: int, xi: Sequence, zeta_vec, bound: int = DEFAULT_WINDOW_BOUND) -> Fraction:
+def kn_coefficient(n: int, xi: Sequence, zeta_vec) -> Fraction:
     """Diagonal coefficient of the level-n commutator inflation on the
     elementary tensor with the given 2^n slot vectors.
 
@@ -206,9 +206,7 @@ def _overlap(g: VElement, m: int, bound: int) -> tuple[Fraction, Tree]:
     powers_w1 = _resolved_powers(residual_forest(w1, level), [0] * slots)
 
     # g refined so its domain is w1; its action permutes the components
-    p1 = residual_forest(w1, g.domain)
-    widened = inflate(g.perm, [t.leaf_count for t in p1.trees])
-    range_tree = graft(g.range, permute_forest(g.perm.inverse(), p1))
+    range_tree, widened = refine(g.range, g.perm, residual_forest(w1, g.domain))
     powers_range = widened.theta(powers_w1)
 
     # pair (range_tree, moved components) against (level, all zeros)

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 
 from .errors import ContractError, ParseError
 from .trees import (
@@ -21,15 +19,14 @@ from .trees import (
     Forest,
     Tree,
     caret,
-    caret_positions,
-    collapse_caret,
     complete_tree,
-    compose,
     format_tree,
     graft,
+    leaf_cells,
     merge_trees,
     parse_tree,
     residual_forest,
+    tree_from_depths,
 )
 
 F = "F"
@@ -128,50 +125,15 @@ def inflate(perm: Perm, sizes) -> Perm:
     return Perm(images)
 
 
-def permute_forest(perm: Perm, f: Forest) -> Forest:
-    """The forest whose i-th tree is tree perm(i) of f."""
-    if perm.size != f.root_count:
-        raise ContractError("permute_forest: permutation size must match root count")
-    return Forest(tuple(f.trees[perm(i) - 1] for i in range(1, perm.size + 1)))
+def refine(range_: Tree, perm: Perm, f: Forest) -> tuple[Tree, Perm]:
+    """Carry a forest grafted under the domain leaves to the range side.
 
-
-class SymmetricForest:
-    """A forest together with a permutation of its leaves."""
-
-    __slots__ = ("forest", "perm")
-
-    def __init__(self, forest: Forest, perm: Perm):
-        if perm.size != forest.leaf_count:
-            raise ContractError("SymmetricForest: permutation must act on the leaves")
-        self.forest = forest
-        self.perm = perm
-
-    def __eq__(self, other):
-        if not isinstance(other, SymmetricForest):
-            return NotImplemented
-        return self.forest == other.forest and self.perm == other.perm
-
-    def __hash__(self):
-        return hash((self.forest, self.perm))
-
-    def __repr__(self):
-        return f"SymmetricForest({self.forest!r}, {self.perm!r})"
-
-
-def compose_symmetric(p: SymmetricForest, q: SymmetricForest) -> SymmetricForest:
-    """Stack (p, sigma) on top of (q, tau).
-
-    The permutation tau slides up through p: the trees of p are permuted so
-    that tree i of the result's forest is tree tau(i) of p, and tau itself is
-    inflated leaf-wise, each strand i widening to as many parallel strands as
-    tree tau(i) of p has leaves.
+    Tree k of f hangs under domain leaf k, so in the refined pair
+    (graft(domain, f), result tree) it hangs under range leaf perm(k); the
+    bijection of that pair is perm inflated by the tree sizes.
     """
-    if p.forest.root_count != q.forest.leaf_count:
-        raise ContractError("compose_symmetric: arity mismatch")
-    permuted = permute_forest(q.perm, p.forest)
-    forest = compose(permuted, q.forest)
-    widened = inflate(q.perm, [t.leaf_count for t in permuted.trees])
-    return SymmetricForest(forest, p.perm * widened)
+    widened = inflate(perm, [t.leaf_count for t in f.trees])
+    return graft(range_, Forest(perm.theta(f.trees))), widened
 
 
 # ---------------------------------------------------------------------------
@@ -229,44 +191,49 @@ class VElement:
         return f"VElement({format_element_literal(self)!r})"
 
 
-def _reduce(domain: Tree, range_: Tree, perm: Perm, pick=min):
+def _reduce(domain: Tree, range_: Tree, perm: Perm):
     """Cancel matched carets until none remain.
 
-    A caret at domain leaves (i, i+1) cancels against the range caret at
-    (perm(i), perm(i)+1) when perm(i+1) = perm(i)+1.  ``pick`` selects among
-    available cancellations; any choice yields the same canonical form.
+    The pairs (domain cell k, range cell perm(k)) are pushed in domain order.
+    The top two merge into their parent cells while the domain cells and the
+    range cells are both left and right siblings.  A cancellation only
+    exposes the parent caret, so one pass finds them all; the trees and the
+    bijection are rebuilt once, and only if something cancelled.
     """
-    while True:
-        rc = set(caret_positions(range_))
-        hits = [
-            i
-            for i in caret_positions(domain)
-            if perm(i + 1) == perm(i) + 1 and perm(i) in rc
-        ]
-        if not hits:
-            return domain, range_, perm
-        i = pick(hits)
-        j = perm(i)
-        domain = collapse_caret(domain, i)
-        range_ = collapse_caret(range_, j)
-        images = [
-            v - 1 if v > j else v
-            for k, v in enumerate(perm.images, 1)
-            if k != i + 1
-        ]
-        perm = Perm(images)
+    range_cells = leaf_cells(range_)
+    stack: list[tuple[int, int, int, int, int]] = []
+    for (di, dd), j in zip(leaf_cells(domain), perm.images):
+        ri, rd = range_cells[j - 1]
+        while stack:
+            pi, pd, pri, prd, pj = stack[-1]
+            if pd != dd or prd != rd or pi & 1 or pri & 1 or ri != pri + 1:
+                break
+            stack.pop()
+            di, dd, ri, rd, j = pi >> 1, dd - 1, pri >> 1, rd - 1, pj
+        stack.append((di, dd, ri, rd, j))
+    if len(stack) == perm.size:
+        return domain, range_, perm
+    # a surviving range cell starts at its first original range leaf j, so
+    # sorting by j puts the range cells in leaf order
+    order = sorted(range(len(stack)), key=lambda k: stack[k][4])
+    images = [0] * len(stack)
+    for new_j, k in enumerate(order, 1):
+        images[k] = new_j
+    return (
+        tree_from_depths([cell[1] for cell in stack]),
+        tree_from_depths([stack[k][3] for k in order]),
+        Perm(images),
+    )
 
 
 def multiply(g: VElement, h: VElement) -> VElement:
     """Group product; (g*h) acts as g after h on [0, 1)."""
     w = merge_trees(g.domain, h.range)
-    p = residual_forest(w, g.domain)
-    q = residual_forest(w, h.range)
-    new_range = graft(g.range, permute_forest(g.perm.inverse(), p))
-    up = inflate(g.perm, [t.leaf_count for t in p.trees])
-    new_domain = graft(h.domain, permute_forest(h.perm, q))
-    down = inflate(h.perm, [q.trees[h.perm(k) - 1].leaf_count for k in range(1, h.perm.size + 1)])
-    return VElement(new_domain, new_range, up * down)
+    new_range, up = refine(g.range, g.perm, residual_forest(w, g.domain))
+    new_domain, down = refine(h.domain, h.perm.inverse(), residual_forest(w, h.range))
+    # down maps the refined range of h back to its domain, so the product
+    # sends domain leaf k to up(down.inv(k))
+    return VElement(new_domain, new_range, Perm(up.images[j - 1] for j in down._inv))
 
 
 def inverse(g: VElement) -> VElement:
@@ -300,33 +267,35 @@ def parse_dyadic(text: str) -> Fraction:
     return Fraction(int(num), den)
 
 
-@lru_cache(maxsize=None)
-def leaf_cells(t: Tree) -> tuple[tuple[Fraction, int], ...]:
-    """(start, depth) of the standard dyadic cell of each leaf; cell k is
-    [start, start + 2^-depth) and the cells tile [0, 1) in leaf order."""
-    out: list[tuple[Fraction, int]] = []
-
-    def go(node: Tree, start: Fraction, depth: int):
-        if node.is_leaf:
-            out.append((start, depth))
-            return
-        half = Fraction(1, 2 ** (depth + 1))
-        go(node.left, start, depth + 1)
-        go(node.right, start + half, depth + 1)
-
-    go(t, Fraction(0), 0)
-    return tuple(out)
-
-
 def pl_value(domain: Tree, range_: Tree, perm: Perm, x: Fraction) -> Fraction:
-    """Value at x of the map sending domain cell k affinely onto range cell perm(k)."""
+    """Value at x of the map sending domain cell k affinely onto range cell perm(k).
+
+    The domain is descended by the binary digits of x, which leaves x's
+    position within its cell as num/den; the range is descended to leaf
+    perm(k) by leaf counts.
+    """
     if not 0 <= x < 1:
         raise ContractError("pl_value: argument must lie in [0, 1)")
-    cells = leaf_cells(domain)
-    k = bisect_right(cells, x, key=itemgetter(0))
-    start, depth = cells[k - 1]
-    rstart, rdepth = leaf_cells(range_)[perm(k) - 1]
-    return rstart + (x - start) * Fraction(2**depth, 2**rdepth)
+    num, den = x.numerator, x.denominator
+    node, k = domain, 1
+    while not node.is_leaf:
+        num *= 2
+        if num < den:
+            node = node.left
+        else:
+            num -= den
+            k += node.left.leaf_count
+            node = node.right
+    node, j, index, depth = range_, perm(k), 0, 0
+    while not node.is_leaf:
+        index, depth = 2 * index, depth + 1
+        if j <= node.left.leaf_count:
+            node = node.left
+        else:
+            j -= node.left.leaf_count
+            index += 1
+            node = node.right
+    return Fraction(index * den + num, den << depth)
 
 
 def eval_pl(g: VElement, x) -> Fraction:
@@ -345,7 +314,7 @@ def pl_maps_equal(a, b) -> bool:
     Between consecutive cell starts of either domain both maps are affine, so
     they agree there exactly when they agree at the left end and the midpoint.
     """
-    starts = {c[0] for c in leaf_cells(a[0])} | {c[0] for c in leaf_cells(b[0])}
+    starts = {Fraction(i, 1 << d) for t in (a[0], b[0]) for i, d in leaf_cells(t)}
     cuts = sorted(starts | {Fraction(1)})
     for lo, hi in zip(cuts, cuts[1:]):
         for x in (lo, (lo + hi) / 2):

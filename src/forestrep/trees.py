@@ -149,22 +149,6 @@ def complete_tree(n: int) -> Tree:
     return t
 
 
-def split_leaf(t: Tree, i: int) -> Tree:
-    """Replace leaf i (1-indexed) with a caret."""
-    if not 1 <= i <= t.leaf_count:
-        raise ContractError(f"split_leaf: leaf {i} out of range 1..{t.leaf_count}")
-
-    def go(node: Tree, k: int) -> Tree:
-        if node.is_leaf:
-            return caret(LEAF, LEAF)
-        nl = node.left.leaf_count
-        if k <= nl:
-            return caret(go(node.left, k), node.right)
-        return caret(node.left, go(node.right, k - nl))
-
-    return go(t, i)
-
-
 def caret_positions(t: Tree) -> tuple[int, ...]:
     """Leaf indices i such that leaves i and i+1 are the children of one caret."""
     out: list[int] = []
@@ -219,10 +203,48 @@ def split_sequence(t: Tree) -> tuple[int, ...]:
 
 def tree_from_splits(indices) -> Tree:
     """Rebuild a tree by splitting leaves in the given order."""
-    t = LEAF
+    depths = [0]
     for i in indices:
-        t = split_leaf(t, i)
-    return t
+        if not 1 <= i <= len(depths):
+            raise ContractError(f"tree_from_splits: leaf {i} out of range 1..{len(depths)}")
+        d = depths[i - 1] + 1
+        depths[i - 1 : i] = [d, d]
+    return tree_from_depths(depths)
+
+
+def leaf_cells(t: Tree) -> list[tuple[int, int]]:
+    """(index, depth) of each leaf's standard dyadic cell, in leaf order; cell
+    (i, d) is [i / 2^d, (i + 1) / 2^d) and the cells tile [0, 1)."""
+    out: list[tuple[int, int]] = []
+    stack = [(t, 0, 0)]
+    while stack:
+        node, index, depth = stack.pop()
+        # walk down the left spine, leaving each right child for later
+        while not node.is_leaf:
+            index, depth = 2 * index, depth + 1
+            stack.append((node.right, index + 1, depth))
+            node = node.left
+        out.append((index, depth))
+    return out
+
+
+def tree_from_depths(depths) -> Tree:
+    """The tree whose leaves, left to right, sit at the given depths.
+
+    Shift-reduce: two finished subtrees on top of the stack with equal root
+    depth are siblings, because the subtrees on the stack cover a prefix of
+    [0, 1) by dyadic cells of strictly decreasing size.
+    """
+    stack: list[tuple[Tree, int]] = []
+    for d in depths:
+        node = LEAF
+        while stack and stack[-1][1] == d:
+            node = caret(stack.pop()[0], node)
+            d -= 1
+        stack.append((node, d))
+    if len(stack) != 1 or stack[0][1] != 0:
+        raise ContractError("tree_from_depths: not the leaf depths of a tree")
+    return stack[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +315,12 @@ def _parse_product(text: str) -> Tree:
         if not tok.startswith("f") or not tok[1:].isdigit():
             raise ParseError(f"bad product token {tok!r}")
         indices.append(int(tok[1:]))
-    t = LEAF
+    count = 1
     for i in reversed(indices):
-        if not 1 <= i <= t.leaf_count:
-            raise ParseError(
-                f"split index {i} exceeds current leaf count {t.leaf_count}"
-            )
-        t = split_leaf(t, i)
-    return t
+        if not 1 <= i <= count:
+            raise ParseError(f"split index {i} exceeds current leaf count {count}")
+        count += 1
+    return tree_from_splits(reversed(indices))
 
 
 def format_tree(t: Tree, style: str = "product") -> str:

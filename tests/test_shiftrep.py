@@ -21,16 +21,14 @@ from forestrep.shiftrep import (
 from forestrep.thompson import (
     Perm,
     VElement,
-    inflate,
     named_tree,
-    permute_forest,
+    refine,
 )
 from forestrep.trees import (
     LEAF,
     Forest,
     caret,
     complete_tree,
-    graft,
     merge_trees,
     residual_forest,
 )
@@ -215,9 +213,7 @@ def _pair_through(g: VElement, m: int, deep_level: int) -> Fraction:
     slots = 2**m
     w1 = merge_trees(g.domain, level)
     powers_w1 = _resolved_powers(residual_forest(w1, level), [0] * slots)
-    p1 = residual_forest(w1, g.domain)
-    widened = inflate(g.perm, [t.leaf_count for t in p1.trees])
-    range_tree = graft(g.range, permute_forest(g.perm.inverse(), p1))
+    range_tree, widened = refine(g.range, g.perm, residual_forest(w1, g.domain))
     powers_range = widened.theta(powers_w1)
     w2 = merge_trees(merge_trees(range_tree, level), complete_tree(deep_level))
     left = _resolved_powers(residual_forest(w2, range_tree), powers_range)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,11 +7,9 @@ import pytest
 from forestrep.errors import ContractError, ParseError
 from forestrep.thompson import (
     Perm,
-    SymmetricForest,
     VElement,
     builtin,
     classify,
-    compose_symmetric,
     element_from_json,
     element_to_json,
     eval_pl,
@@ -23,10 +22,22 @@ from forestrep.thompson import (
     parse_dyadic,
     parse_element_literal,
     pl_maps_equal,
+    refine,
     standard_generators,
     _reduce,
 )
-from forestrep.trees import LEAF, Forest, caret, enumerate_trees, graft, parse_tree
+from forestrep.trees import (
+    LEAF,
+    Forest,
+    caret,
+    caret_positions,
+    collapse_caret,
+    enumerate_trees,
+    graft,
+    leaf_cells,
+    parse_tree,
+    tree_from_splits,
+)
 
 
 def x0() -> VElement:
@@ -72,23 +83,6 @@ def test_inflate_block_example():
     assert inflate(Perm.identity(3), (2, 1, 3)).is_identity()
 
 
-def test_compose_symmetric_examples():
-    p = SymmetricForest(Forest((caret(LEAF, LEAF), caret(LEAF, LEAF))), Perm.identity(4))
-    q = SymmetricForest(Forest((caret(LEAF, LEAF),)), Perm((2, 1)))
-    res = compose_symmetric(p, q)
-    assert res.perm.images == (3, 4, 1, 2)
-    assert res.forest.trees[0].leaf_count == 4
-
-    # identity permutations give plain forest composition
-    q2 = SymmetricForest(Forest((caret(LEAF, LEAF),)), Perm.identity(2))
-    res2 = compose_symmetric(p, q2)
-    assert res2.perm.is_identity()
-    assert res2.forest == res.forest
-
-    with pytest.raises(ContractError):
-        compose_symmetric(q, q)
-
-
 # ---------------------------------------------------------------------------
 # canonical forms
 
@@ -123,20 +117,77 @@ def test_family_gn_shape():
 
 
 def test_reduction_confluent_under_random_order():
-    from forestrep.thompson import permute_forest
-
     rng = random.Random(5)
     pool = [t for n in (1, 2, 3) for t in enumerate_trees(n)]
     for _ in range(60):
         g = random_product(rng, 4)
         attach = Forest(tuple(rng.choice(pool) for _ in range(g.leaf_count)))
-        dom = graft(g.domain, attach)
-        rng_tree = graft(g.range, permute_forest(g.perm.inverse(), attach))
-        perm = inflate(g.perm, [t.leaf_count for t in attach.trees])
-        deterministic = _reduce(dom, rng_tree, perm)
-        randomized = _reduce(dom, rng_tree, perm, pick=rng.choice)
-        assert deterministic == randomized
-        assert deterministic == (g.domain, g.range, g.perm)
+        rng_tree, perm = refine(g.range, g.perm, attach)
+        assert _reduce(graft(g.domain, attach), rng_tree, perm) == (g.domain, g.range, g.perm)
+
+
+def _reduce_by_rescan(domain, range_, perm):
+    """Reference reduction: rescan both trees for the leftmost cancellable
+    caret after every cancellation."""
+    while True:
+        rc = set(caret_positions(range_))
+        hits = [
+            i
+            for i in caret_positions(domain)
+            if perm(i + 1) == perm(i) + 1 and perm(i) in rc
+        ]
+        if not hits:
+            return domain, range_, perm
+        i = min(hits)
+        j = perm(i)
+        domain = collapse_caret(domain, i)
+        range_ = collapse_caret(range_, j)
+        perm = Perm(v - 1 if v > j else v for k, v in enumerate(perm.images, 1) if k != i + 1)
+
+
+def _random_tree(rng, n):
+    return tree_from_splits(rng.randint(1, k) for k in range(1, n))
+
+
+def test_reduction_matches_rescan_reference():
+    triples = 0
+    for n in range(1, 5):
+        trees = enumerate_trees(n)
+        for s in trees:
+            for t in trees:
+                for images in itertools.permutations(range(1, n + 1)):
+                    perm = Perm(images)
+                    assert _reduce(s, t, perm) == _reduce_by_rescan(s, t, perm)
+                    triples += 1
+    assert triples == 627
+
+    rng = random.Random(11)
+    pool = [t for n in (1, 2, 3) for t in enumerate_trees(n)]
+    for _ in range(300):
+        n = rng.randint(1, 20)
+        kind = rng.choice(("identity", "rotation", "random"))
+        if kind == "identity":
+            perm = Perm.identity(n)
+        elif kind == "rotation":
+            perm = Perm.rotation(n, rng.randrange(n))
+        else:
+            perm = Perm(rng.sample(range(1, n + 1), n))
+        s = _random_tree(rng, n)
+        t = s if rng.random() < 0.3 else _random_tree(rng, n)
+        assert _reduce(s, t, perm) == _reduce_by_rescan(s, t, perm)
+        # graft up to three leaves under each domain leaf, carried through perm
+        attach = Forest(tuple(rng.choice(pool) for _ in range(n)))
+        raw_range, raw_perm = refine(t, perm, attach)
+        raw = (graft(s, attach), raw_range, raw_perm)
+        assert _reduce(*raw) == _reduce_by_rescan(*raw)
+
+
+def test_deep_inputs_reduce_without_recursion():
+    comb = LEAF
+    for _ in range(1499):
+        comb = caret(comb, LEAF)
+    assert VElement(comb, comb).is_identity()
+    assert family_gn(1200).leaf_count == 2400
 
 
 def test_group_axioms_random():
@@ -240,10 +291,9 @@ def test_eval_pl_bijective_and_monotone_on_cells():
         outputs = [eval_pl(g, Fraction(k, 256)) for k in range(256)]
         assert len(set(outputs)) == 256
         # monotone within each domain cell
-        from forestrep.thompson import leaf_cells
-        for start, depth in leaf_cells(g.domain):
+        for index, depth in leaf_cells(g.domain):
             step = Fraction(1, 2 ** (depth + 3))
-            points = [start + i * step for i in range(8)]
+            points = [Fraction(index, 2**depth) + i * step for i in range(8)]
             values = [eval_pl(g, p) for p in points]
             assert values == sorted(values)
 
@@ -264,9 +314,8 @@ def test_canonical_equality_matches_interval_action():
 
 def test_pl_maps_equal_helper():
     g = x0()
-    raw = (graft(g.domain, Forest((caret(LEAF, LEAF), LEAF, LEAF))),
-           graft(g.range, Forest((caret(LEAF, LEAF), LEAF, LEAF))),
-           inflate(g.perm, (2, 1, 1)))
+    attach = Forest((caret(LEAF, LEAF), LEAF, LEAF))
+    raw = (graft(g.domain, attach), *refine(g.range, g.perm, attach))
     assert pl_maps_equal(raw, (g.domain, g.range, g.perm))
     assert not pl_maps_equal(
         (g.domain, g.range, g.perm),

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from forestrep.trees import (
     format_tree,
     format_words,
     graft,
+    leaf_cells,
     merge_trees,
     parse_forest,
     parse_tree,
@@ -23,6 +25,7 @@ from forestrep.trees import (
     residual_forest,
     split_sequence,
     subrooted_trees,
+    tree_from_depths,
     tree_from_splits,
     trivial_forest,
 )
@@ -154,6 +157,31 @@ def test_decompose_recompose_round_trip():
             for i in split_sequence(t):
                 f = compose(elementary_forest(i, f.leaf_count), f)
             assert f.trees[0] == t
+    with pytest.raises(ContractError):
+        tree_from_splits([1, 3])
+
+
+def test_leaf_cells_tile_and_rebuild():
+    for n in range(1, 9):
+        for t in enumerate_trees(n):
+            cells = leaf_cells(t)
+            assert len(cells) == n
+            # each cell starts where the previous one ends; the last ends at 1
+            end = Fraction(0)
+            for index, depth in cells:
+                assert Fraction(index, 2**depth) == end
+                end = Fraction(index + 1, 2**depth)
+            assert end == 1
+            assert tree_from_depths([d for _, d in cells]) == t
+    assert leaf_cells(parse_tree("f1 f1")) == [(0, 2), (1, 2), (1, 1)]
+    for bad in ([], [1], [0, 0], [1, 1, 1], [2, 1, 2], [1, 2]):
+        with pytest.raises(ContractError):
+            tree_from_depths(bad)
+
+
+def test_deep_product_parses_without_recursion():
+    t = parse_tree(" ".join(["f1"] * 2000))
+    assert t.leaf_count == 2001 and t.depth == 2000
 
 
 # ---------------------------------------------------------------------------
