@@ -9,6 +9,7 @@ into prefix terms and pairs two such expansions into the coefficient
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -304,7 +305,18 @@ def reduced_rotation_elements(max_leaves: int):
                         yield g
 
 
-def vanishing_scan(alpha, max_leaves: int, bound: int = 12) -> list[VanishRow]:
+def _rotation_triples(max_leaves: int) -> int:
+    """How many (tree, tree, rotation) triples reduced_rotation_elements
+    reduces: the sum over n <= max_leaves of n * Cat(n-1)^2."""
+    return sum(n * (math.comb(2 * n - 2, n - 1) // n) ** 2 for n in range(1, max_leaves + 1))
+
+
+# the triples at max_leaves = 7, which take about 16 s on a shared 2-vCPU VM;
+# each further leaf multiplies the count by about ten
+_SCAN_TRIPLE_CAP = _rotation_triples(7)
+
+
+def vanishing_scan(alpha, max_leaves: int) -> list[VanishRow]:
     """Tabulate phi_alpha over all reduced rotation pairs by leaf count.
 
     For each n the computed value must be exactly alpha^(2n-2); the deviation
@@ -314,8 +326,12 @@ def vanishing_scan(alpha, max_leaves: int, bound: int = 12) -> list[VanishRow]:
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise ContractError("vanishing_scan: alpha must lie in [0, 1]")
-    if max_leaves > bound:
-        raise ContractError(f"vanishing_scan: max_leaves {max_leaves} exceeds bound {bound}")
+    triples = _rotation_triples(max_leaves)
+    if triples > _SCAN_TRIPLE_CAP:
+        raise ContractError(
+            f"vanishing_scan: max_leaves {max_leaves} means {triples} triples to reduce,"
+            f" over the cap of {_SCAN_TRIPLE_CAP}"
+        )
     per_n: dict[int, list[tuple[VElement, Fraction]]] = {n: [] for n in range(1, max_leaves + 1)}
     for g in reduced_rotation_elements(max_leaves):
         per_n[g.leaf_count].append((g, phi_alpha_eval(g, alpha)))

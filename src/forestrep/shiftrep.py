@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import ContractError
 from .thompson import VElement, named_tree, refine
-from .trees import Forest, Tree, complete_tree, merge_trees, residual_forest
+from .trees import Forest, Tree, complete_tree, leaf_cells, left_run, merge_trees, residual_forest
 
 DEFAULT_WINDOW_BOUND = 3
 
@@ -128,18 +128,11 @@ def forest_apply_shift(f: Forest) -> tuple[LeafSymbol, ...]:
     by its depth when its path is all left turns, and otherwise the auxiliary
     vector shifted by the number of left turns below the last right turn.
     """
-    out: list[LeafSymbol] = []
-
-    def go(node: Tree, power: int, root: int | None):
-        if node.is_leaf:
-            out.append(LeafSymbol(power, root))
-            return
-        go(node.left, power + 1, root)
-        go(node.right, 0, None)
-
-    for idx, t in enumerate(f.trees, 1):
-        go(t, 0, idx)
-    return tuple(out)
+    return tuple(
+        LeafSymbol(left_run(index, depth), None if index else root)
+        for root, t in enumerate(f.trees, 1)
+        for index, depth in leaf_cells(t)
+    )
 
 
 def _resolved_powers(f: Forest, input_powers: Sequence[int]) -> list[int]:

@@ -10,7 +10,7 @@ the i-th leaf of ``q``.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import ContractError, ParseError
 
@@ -20,43 +20,25 @@ DEFAULT_ENUM_BOUND = 12
 class Tree:
     """Immutable rooted binary tree node.
 
-    Construct through the module-level ``LEAF`` constant and ``caret``; both
-    intern nodes, so equal trees are usually the same object.
+    Build trees only from the module-level ``LEAF`` constant and ``caret``,
+    which interns every caret: equal trees are the same object, so equality
+    and hashing are by identity.
     """
 
-    __slots__ = ("left", "right", "leaf_count", "depth", "_hash")
+    __slots__ = ("left", "right", "is_leaf", "leaf_count", "depth")
 
     def __init__(self, left: "Tree | None" = None, right: "Tree | None" = None):
         if (left is None) != (right is None):
             raise ValueError("a tree node has either two children or none")
         self.left = left
         self.right = right
+        self.is_leaf = left is None
         if left is None:
             self.leaf_count = 1
             self.depth = 0
-            self._hash = hash(("leaf",))
         else:
             self.leaf_count = left.leaf_count + right.leaf_count
             self.depth = 1 + max(left.depth, right.depth)
-            self._hash = hash((left._hash, right._hash))
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Tree):
-            return NotImplemented
-        if self._hash != other._hash or self.leaf_count != other.leaf_count:
-            return False
-        if self.is_leaf or other.is_leaf:
-            return self.is_leaf and other.is_leaf
-        return self.left == other.left and self.right == other.right
 
     def __repr__(self):
         return f"Tree({format_tree(self)!r})"
@@ -70,8 +52,8 @@ _CARETS: dict[tuple[Tree, Tree], Tree] = {}
 def caret(left: Tree, right: Tree) -> Tree:
     node = _CARETS.get((left, right))
     if node is None:
-        node = Tree(left, right)
-        _CARETS[(left, right)] = node
+        # setdefault is atomic, so racing threads still get one node per key
+        node = _CARETS.setdefault((left, right), Tree(left, right))
     return node
 
 
@@ -124,14 +106,12 @@ def compose(p: Forest, q: Forest) -> Forest:
         raise ContractError(
             f"compose: {p.root_count} roots on top cannot attach to {q.leaf_count} leaves"
         )
-    feed = iter(p.trees)
-    return Forest(tuple(_graft_tree(t, feed) for t in q.trees))
-
-
-def _graft_tree(t: Tree, feed: Iterator[Tree]) -> Tree:
-    if t.is_leaf:
-        return next(feed)
-    return caret(_graft_tree(t.left, feed), _graft_tree(t.right, feed))
+    out, start = [], 0
+    for t in q.trees:
+        tops = p.trees[start : start + t.leaf_count]
+        out.append(_assemble(zip(tops, [d for _, d in leaf_cells(t)])))
+        start += t.leaf_count
+    return Forest(out)
 
 
 def graft(t: Tree, f: Forest) -> Tree:
@@ -187,17 +167,14 @@ def collapse_caret(t: Tree, i: int) -> Tree:
 
 
 def split_sequence(t: Tree) -> tuple[int, ...]:
-    """Leaf indices that rebuild t from a single leaf, in order of application."""
+    """Leaf indices that rebuild t from a single leaf, in order of application.
+
+    In preorder the carets come sorted by their leftmost leaf, and leaf k is
+    the leftmost leaf of the carets on its final run of left turns.
+    """
     out: list[int] = []
-
-    def go(node: Tree, pos: int):
-        if node.is_leaf:
-            return
-        out.append(pos)
-        go(node.left, pos)
-        go(node.right, pos + node.left.leaf_count)
-
-    go(t, 1)
+    for k, (index, depth) in enumerate(leaf_cells(t), 1):
+        out.extend([k] * left_run(index, depth))
     return tuple(out)
 
 
@@ -228,16 +205,27 @@ def leaf_cells(t: Tree) -> list[tuple[int, int]]:
     return out
 
 
+def left_run(index: int, depth: int) -> int:
+    """Number of left turns that end the path to leaf cell (index, depth):
+    the trailing zero bits of index, or the whole depth when index is 0."""
+    return (index & -index).bit_length() - 1 if index else depth
+
+
 def tree_from_depths(depths) -> Tree:
-    """The tree whose leaves, left to right, sit at the given depths.
+    """The tree whose leaves, left to right, sit at the given depths."""
+    return _assemble((LEAF, d) for d in depths)
+
+
+def _assemble(items) -> Tree:
+    """The tree whose subtrees at the given depths cover its leaves left to
+    right, from (subtree, depth) pieces.
 
     Shift-reduce: two finished subtrees on top of the stack with equal root
     depth are siblings, because the subtrees on the stack cover a prefix of
     [0, 1) by dyadic cells of strictly decreasing size.
     """
     stack: list[tuple[Tree, int]] = []
-    for d in depths:
-        node = LEAF
+    for node, d in items:
         while stack and stack[-1][1] == d:
             node = caret(stack.pop()[0], node)
             d -= 1
@@ -245,6 +233,21 @@ def tree_from_depths(depths) -> Tree:
     if len(stack) != 1 or stack[0][1] != 0:
         raise ContractError("tree_from_depths: not the leaf depths of a tree")
     return stack[0][0]
+
+
+def _co_walk(u: Tree, v: Tree) -> list[tuple[Tree, Tree, int]]:
+    """(u node, v node, depth), left to right, at each position where u and v
+    share a subtree or either has a leaf, below carets of both trees."""
+    out = []
+    stack = [(u, v, 0)]
+    while stack:
+        a, b, d = stack.pop()
+        while not (a.is_leaf or b.is_leaf or a is b):
+            d += 1
+            stack.append((a.right, b.right, d))
+            a, b = a.left, b.left
+        out.append((a, b, d))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -274,38 +277,30 @@ def parse_tree(text: str) -> Tree:
 
 
 def _parse_parens(text: str) -> Tree:
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def node() -> Tree:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text):
-            raise ParseError(f"unexpected end of tree text at position {pos}")
-        ch = text[pos]
-        if ch == ".":
-            pos += 1
-            return LEAF
+    tokens = iter([(i, ch) for i, ch in enumerate(text) if not ch.isspace()] + [(len(text), "")])
+    pending: list[Tree | None] = []  # per unclosed '(' its left child, once parsed
+    while True:
+        pos, ch = next(tokens)
         if ch == "(":
-            pos += 1
-            left = node()
-            right = node()
-            skip_ws()
-            if pos >= len(text) or text[pos] != ")":
+            pending.append(None)
+            continue
+        if not ch:
+            raise ParseError(f"unexpected end of tree text at position {pos}")
+        if ch != ".":
+            raise ParseError(f"unexpected character {ch!r} at position {pos}")
+        node = LEAF
+        while pending and pending[-1] is not None:
+            pos, ch = next(tokens)
+            if ch != ")":
                 raise ParseError(f"expected ')' at position {pos}")
-            pos += 1
-            return caret(left, right)
-        raise ParseError(f"unexpected character {ch!r} at position {pos}")
-
-    t = node()
-    skip_ws()
-    if pos != len(text):
+            node = caret(pending.pop(), node)
+        if not pending:
+            break
+        pending[-1] = node
+    pos, ch = next(tokens)
+    if ch:
         raise ParseError(f"trailing text at position {pos}")
-    return t
+    return node
 
 
 def _parse_product(text: str) -> Tree:
@@ -330,9 +325,12 @@ def format_tree(t: Tree, style: str = "product") -> str:
             return "."
         return " ".join(f"f{i}" for i in reversed(seq))
     if style == "parens":
-        if t.is_leaf:
-            return "."
-        return f"({format_tree(t.left, 'parens')} {format_tree(t.right, 'parens')})"
+        # a leaf opens one '(' per caret it is the leftmost leaf of and
+        # closes one ')' per caret it is the rightmost leaf of
+        return " ".join(
+            "(" * left_run(index, depth) + "." + ")" * left_run(index + 1, depth)
+            for index, depth in leaf_cells(t)
+        )
     raise ValueError(f"unknown style {style!r}")
 
 
@@ -418,27 +416,16 @@ def _prefixes(t: Tree) -> list[tuple[Tree, tuple[Tree, ...]]]:
 def residual_forest(w: Tree, z: Tree) -> Forest:
     """The forest f with compose(f, z) = w; z must be a prefix of w."""
     out: list[Tree] = []
-
-    def go(wn: Tree, zn: Tree):
-        if zn.is_leaf:
-            out.append(wn)
-            return
-        if wn.is_leaf:
+    for a, b, _ in _co_walk(w, z):
+        if not (b.is_leaf or a is b):
             raise ContractError("residual_forest: second tree is not a prefix of the first")
-        go(wn.left, zn.left)
-        go(wn.right, zn.right)
-
-    go(w, z)
-    return Forest(tuple(out))
+        out += [a] if b.is_leaf else [LEAF] * a.leaf_count
+    return Forest(out)
 
 
 def merge_trees(u: Tree, v: Tree) -> Tree:
     """Least common refinement: the smallest tree with both u and v as prefixes."""
-    if u.is_leaf:
-        return v
-    if v.is_leaf:
-        return u
-    return caret(merge_trees(u.left, v.left), merge_trees(u.right, v.right))
+    return _assemble((b if a.is_leaf else a, d) for a, b, d in _co_walk(u, v))
 
 
 # ---------------------------------------------------------------------------

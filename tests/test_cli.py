@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 from fractions import Fraction
 
 from forestrep.cli import main
@@ -56,6 +57,10 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 1 and "contract violation" in err
     code, _, err = run(capsys, "scan-vanishing", "--alpha", "1/2", "--max-leaves", "13")
     assert code == 1 and err.count("\n") == 1 and "contract violation" in err
+    start = time.perf_counter()
+    code, _, err = run(capsys, "scan-vanishing", "--alpha", "1/2", "--max-leaves", "8")
+    assert code == 1 and err.count("\n") == 1 and "1605975 triples" in err
+    assert time.perf_counter() - start < 10
     malformed = tmp_path / "malformed.json"
     malformed.write_text('[{"domain": "f1", "range": ')
     code, _, err = run(capsys, "gram", "--elements", str(malformed), "--alpha", "1/2")
@@ -70,6 +75,22 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 1 and err.count("\n") == 1 and "contract violation" in err
     code, _, err = run(capsys, "element", "reduce", "f1/f1~[1.0, 2]")
     assert code == 1 and err.count("\n") == 1 and "contract violation" in err
+
+
+def test_deep_inputs(capsys):
+    left = " ".join(["f1"] * 2000)
+    right = " ".join(f"f{i}" for i in range(2000, 0, -1))
+    combs = f"({left})/({right})"
+    deep = "(" * 1200 + ". .)" + " .)" * 1199
+    right_1201 = " ".join(f"f{i}" for i in range(1200, 0, -1))
+    for argv in (
+        ["element", "reduce", combs],
+        ["element", "multiply", combs, combs],
+        ["kazhdan", "almost-invariant", "--element", combs, "--m", "1", "--json"],
+        ["element", "classify", f"{deep}/({right_1201})"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out.count("\n") == 1 and err == ""
 
 
 def test_scan_vanishing_csv(tmp_path, capsys):

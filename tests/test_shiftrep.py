@@ -30,6 +30,7 @@ from forestrep.trees import (
     caret,
     complete_tree,
     merge_trees,
+    parse_tree,
     residual_forest,
 )
 
@@ -191,6 +192,16 @@ def test_almost_invariance_bound():
             report = almost_invariance_report(g, m)
             assert report["coefficient"] >= report["bound"]
             assert report["satisfied"]
+
+
+def test_almost_invariance_deep_combs():
+    # right comb onto left comb with 2001 leaves: the first leaf carries shift
+    # 0 on one side and 1999 on the other, far outside the 16-slot window
+    left = parse_tree(" ".join(["f1"] * 2000))
+    right = parse_tree(" ".join(f"f{i}" for i in range(2000, 0, -1)))
+    g = VElement(right, left)
+    assert almost_invariance(g, 1) == 0
+    assert almost_invariance(~g, 1) == 0
 
 
 def test_almost_invariance_monotone_through_levels():

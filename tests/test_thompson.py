@@ -18,6 +18,7 @@ from forestrep.thompson import (
     format_element_literal,
     inflate,
     inflated_element,
+    multiply,
     named_tree,
     parse_dyadic,
     parse_element_literal,
@@ -187,7 +188,9 @@ def test_deep_inputs_reduce_without_recursion():
     for _ in range(1499):
         comb = caret(comb, LEAF)
     assert VElement(comb, comb).is_identity()
-    assert family_gn(1200).leaf_count == 2400
+    g = family_gn(1200)
+    assert g.leaf_count == 2400
+    assert multiply(g, g).is_identity()
 
 
 def test_group_axioms_random():

@@ -7,6 +7,7 @@ from forestrep.errors import ContractError, ParseError
 from forestrep.trees import (
     LEAF,
     Forest,
+    Tree,
     caret,
     complete_tree,
     compose,
@@ -182,6 +183,43 @@ def test_leaf_cells_tile_and_rebuild():
 def test_deep_product_parses_without_recursion():
     t = parse_tree(" ".join(["f1"] * 2000))
     assert t.leaf_count == 2001 and t.depth == 2000
+
+
+def test_deep_trees_format_and_parse_without_recursion():
+    left = " ".join(["f1"] * 2000)
+    right = " ".join(f"f{i}" for i in range(2000, 0, -1))
+    for text in (left, right):
+        t = parse_tree(text)
+        assert t.depth == 2000
+        assert format_tree(t) == text
+        assert parse_tree(format_tree(t, "parens")) is t
+    deep = "(" * 1200 + ". .)" + " .)" * 1199
+    t = parse_tree(deep)
+    assert t.depth == 1200 and t.leaf_count == 1201
+    assert format_tree(t, "parens") == deep
+    assert parse_tree(format_tree(t)) is t
+
+
+def test_equal_trees_are_one_object():
+    assert "__eq__" not in vars(Tree) and "__hash__" not in vars(Tree)
+    for n in range(1, 9):
+        for t in enumerate_trees(n):
+            assert parse_tree(format_tree(t, "product")) is t
+            assert parse_tree(format_tree(t, "parens")) is t
+            assert tree_from_depths([d for _, d in leaf_cells(t)]) is t
+            for entry in subrooted_trees(t):
+                assert graft(entry.tree, residual_forest(t, entry.tree)) is t
+                assert merge_trees(entry.tree, t) is t and merge_trees(t, entry.tree) is t
+            if not t.is_leaf:
+                left, right = residual_forest(t, caret(LEAF, LEAF)).trees
+                assert left is t.left and right is t.right
+    # deep combs built by different routes compare and hash without recursion
+    comb = LEAF
+    for _ in range(3000):
+        comb = caret(comb, LEAF)
+    assert parse_tree(" ".join(["f1"] * 3000)) == comb
+    assert {comb: 1}[tree_from_depths([3000] + list(range(3000, 0, -1)))] == 1
+    assert tree_from_splits(range(1, 3001)) == parse_tree("(. " * 3000 + "." + ")" * 3000)
 
 
 # ---------------------------------------------------------------------------
