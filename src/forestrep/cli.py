@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .coefficients import (
@@ -31,6 +32,7 @@ from .oracles import (
 )
 from .shiftrep import almost_invariance_report, c_constant, kn_coefficient, zeta
 from .thompson import (
+    LEVEL_CAP,
     VElement,
     classify,
     element_from_json,
@@ -91,7 +93,8 @@ def _load_elements_file(path: str) -> list[VElement]:
 def _show_fraction(x: Fraction, as_float: bool = False) -> str:
     if as_float:
         return repr(float(x))
-    return f"{x.numerator}/{x.denominator}"
+    # str(int) refuses over 4300 digits; Decimal prints an int at any length
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 def _emit_rows(rows, fieldnames, csv_path, out):
@@ -216,52 +219,28 @@ def _cmd_farley(args, out) -> int:
 
 def _cmd_kazhdan(args, out) -> int:
     if args.which == "kn":
+        if not 0 <= args.n <= LEVEL_CAP:
+            raise ContractError(f"kazhdan kn: level {args.n} outside 0..{LEVEL_CAP}")
         z = zeta(args.m)
         coeff = kn_coefficient(args.n, [z] * (2**args.n), z)
         reference = c_constant(z) ** (2**args.n)
-        verdict = "exact-match" if coeff == reference else "MISMATCH"
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "n": args.n,
-                        "m": args.m,
-                        "coefficient": _show_fraction(coeff),
-                        "reference": _show_fraction(reference),
-                        "verdict": verdict,
-                    }
-                ),
-                file=out,
-            )
-            return 0
-        rows = [
-            [
-                args.n,
-                args.m,
-                _show_fraction(coeff),
-                _show_fraction(reference),
-                verdict,
-            ]
-        ]
-        _emit_rows(rows, ["n", "m", "coefficient", "reference", "verdict"], args.csv, out)
-        return 0
-    g = _load_element(args.element)
-    report = almost_invariance_report(g, args.m)
-    if args.json:
-        payload = dict(report)
+        payload = {
+            "n": args.n,
+            "m": args.m,
+            "coefficient": _show_fraction(coeff),
+            "reference": _show_fraction(reference),
+            "verdict": "exact-match" if coeff == reference else "MISMATCH",
+        }
+        fields = list(payload)
+    else:
+        payload = almost_invariance_report(_load_element(args.element), args.m)
         for key in ("coefficient", "bound"):
-            payload[key] = _show_fraction(report[key])
+            payload[key] = _show_fraction(payload[key])
+        fields = ["m", "coefficient", "bound", "satisfied"]
+    if args.json:
         print(json.dumps(payload), file=out)
-        return 0
-    rows = [
-        [
-            report["m"],
-            _show_fraction(report["coefficient"]),
-            _show_fraction(report["bound"]),
-            report["satisfied"],
-        ]
-    ]
-    _emit_rows(rows, ["m", "coefficient", "bound", "satisfied"], args.csv, out)
+    else:
+        _emit_rows([[payload[key] for key in fields]], fields, args.csv, out)
     return 0
 
 

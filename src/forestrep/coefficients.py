@@ -296,7 +296,7 @@ def reduced_rotation_elements(max_leaves: int):
     """All reduced (tree, tree, rotation) triples with up to max_leaves leaves,
     in deterministic order."""
     for n in range(1, max_leaves + 1):
-        trees = enumerate_trees(n, bound=max_leaves)
+        trees = enumerate_trees(n)
         for range_tree in trees:
             for domain_tree in trees:
                 for c in range(n):

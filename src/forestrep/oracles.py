@@ -8,9 +8,11 @@ the keys ``check``, ``instances`` and ``violations``.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from .coefficients import RTensor, partition_function, phi_alpha
+from .errors import ContractError
 from .ring import RingElem
 from .thompson import (
     Perm,
@@ -22,6 +24,7 @@ from .thompson import (
     standard_generators,
 )
 from .trees import (
+    ENUM_LEAF_CAP,
     Forest,
     caret_positions,
     collapse_caret,
@@ -38,11 +41,17 @@ def check_word_injectivity(max_leaves: int = 8) -> dict:
     """Path-word tuples separate trees: distinct trees with equal leaf count
     never share a word multiset, and within one tree all words differ, so no
     nontrivial permutation can match two tuples."""
+    if max_leaves > ENUM_LEAF_CAP:  # refused before enumerating the smaller trees
+        trees = sum(math.comb(2 * n - 2, n - 1) // n for n in range(1, max_leaves + 1))
+        raise ContractError(
+            f"word-injectivity: max_leaves {max_leaves} means {trees} trees,"
+            f" past the enumeration cap of {ENUM_LEAF_CAP} leaves"
+        )
     instances = 0
     violations = 0
     for n in range(1, max_leaves + 1):
         groups: dict[tuple, int] = {}
-        for t in enumerate_trees(n, bound=max(max_leaves, 12)):
+        for t in enumerate_trees(n):
             words = path_words(t)
             instances += 1
             if len(set(words)) != n:
@@ -66,7 +75,7 @@ def check_cyclic_forest_lemma(max_leaves: int = 6) -> dict:
     matches = 0
     violations = 0
     for m in range(1, max_leaves + 1):
-        forests = enumerate_forests(m, bound=max(max_leaves, 12))
+        forests = enumerate_forests(m)
         words = {f: path_words(f) for f in forests}
         for p in forests:
             wp = words[p]
@@ -124,7 +133,7 @@ def check_term_parity(elements=None, max_leaves: int | None = None) -> dict:
                     violations += 1
     if max_leaves is not None:
         for n in range(1, max_leaves + 1):
-            trees = enumerate_trees(n, bound=max(max_leaves, 12))
+            trees = enumerate_trees(n)
             for t in trees:
                 range_terms = [
                     (tuple(sorted(e.words)), e.inner_leaves) for e in subrooted_trees(t)
@@ -289,7 +298,7 @@ def check_partition_operator_agreement(R: RTensor, max_leaves: int = 6) -> dict:
     instances = 0
     violations = 0
     for m in range(1, max_leaves + 1):
-        for f in enumerate_forests(m, bound=max(max_leaves, 12)):
+        for f in enumerate_forests(m):
             r = f.root_count
             for in_idx in itertools.product(R.indices, repeat=r):
                 table = operator_apply(f, R, in_idx)
@@ -316,7 +325,7 @@ def check_vacuum_pairing(max_leaves: int = 5) -> dict:
     violations = 0
     seen: set[VElement] = set()
     for n in range(1, max_leaves + 1):
-        trees = enumerate_trees(n, bound=max(max_leaves, 12))
+        trees = enumerate_trees(n)
         for t in trees:
             for s in trees:
                 for images in itertools.permutations(range(1, n + 1)):

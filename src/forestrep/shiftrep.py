@@ -9,14 +9,16 @@ or one of the root inputs, which keeps all inner products rational.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ContractError
 from .thompson import VElement, named_tree, refine
 from .trees import Forest, Tree, complete_tree, leaf_cells, left_run, merge_trees, residual_forest
 
-DEFAULT_WINDOW_BOUND = 3
+# the highest level whose 2m*8^m window is materialised
+WINDOW_LEVEL_CAP = 3
 
 
 class SparseVec:
@@ -39,15 +41,6 @@ class SparseVec:
     def norm_sq(self) -> Fraction:
         return sum((v * v for v in self.entries.values()), Fraction(0))
 
-    def scale(self, c) -> "SparseVec":
-        return SparseVec({i: v * c for i, v in self.entries.items()})
-
-    def __add__(self, other: "SparseVec") -> "SparseVec":
-        out = dict(self.entries)
-        for i, v in other.entries.items():
-            out[i] = out.get(i, Fraction(0)) + v
-        return SparseVec(out)
-
     def __eq__(self, other):
         return isinstance(other, SparseVec) and self.entries == other.entries
 
@@ -58,15 +51,15 @@ class SparseVec:
 class UnitVec(NamedTuple):
     """A unit vector kept rational: the actual vector is vec / sqrt(scale_sq).
 
-    Inner products between shifts of the same UnitVec are exact rationals;
-    mixing two carriers needs scale_sq * scale_sq to be a perfect square.
+    Inner products between shifts of the same UnitVec are exact rationals.
     """
 
     vec: SparseVec
     scale_sq: Fraction
 
     def inner_shifts(self, a: int, b: int) -> Fraction:
-        return self.vec.shift(a).dot(self.vec.shift(b)) / self.scale_sq
+        """<shift^a u, shift^b u>, which is <u, shift^(b-a) u>."""
+        return self.vec.dot(self.vec.shift(b - a)) / self.scale_sq
 
     @classmethod
     def from_sparse(cls, v: SparseVec) -> "UnitVec":
@@ -81,29 +74,17 @@ def _as_unit(v) -> UnitVec:
     raise ContractError("expected a UnitVec or SparseVec")
 
 
-def unit_inner(x: UnitVec, y: UnitVec, a: int, b: int) -> Fraction:
-    """<shift^a x, shift^b y> when the joint normalization is rational."""
-    if x.vec is y.vec or x == y:
-        return x.inner_shifts(a, b)
-    product = x.scale_sq * y.scale_sq
-    num_root = math.isqrt(product.numerator)
-    den_root = math.isqrt(product.denominator)
-    if num_root * num_root != product.numerator or den_root * den_root != product.denominator:
-        raise ContractError("unit_inner: mixed carriers give an irrational normalization")
-    return x.vec.shift(a).dot(y.vec.shift(b)) / Fraction(num_root, den_root)
-
-
 def window_size(m: int) -> int:
     return 2 * m * 8**m
 
 
-def zeta(m: int, bound: int = DEFAULT_WINDOW_BOUND) -> UnitVec:
+def zeta(m: int) -> UnitVec:
     """Normalized indicator of {1, ..., 2m*8^m}, the scale kept symbolic so
     every reported inner product stays rational."""
     if m < 1:
         raise ContractError("zeta: index must be >= 1")
-    if m > bound:
-        raise ContractError(f"zeta: index {m} exceeds bound {bound}")
+    if m > WINDOW_LEVEL_CAP:
+        raise ContractError(f"zeta: index {m} exceeds bound {WINDOW_LEVEL_CAP}")
     h = window_size(m)
     return UnitVec(SparseVec({i: 1 for i in range(1, h + 1)}), Fraction(h))
 
@@ -158,13 +139,22 @@ def c_constant(z) -> Fraction:
     return z.inner_shifts(1, 0) ** 2 * z.inner_shifts(0, 2)
 
 
+def _pairing(carrier: UnitVec, powers: Iterable[tuple[int, int]]) -> Fraction:
+    """Product of <shift^a u, shift^b u> over the leaf pairs (a, b): one
+    shifted inner product per distinct lag b - a, raised to its count."""
+    lags = Counter(b - a for a, b in powers)
+    return math.prod(
+        (carrier.inner_shifts(0, lag) ** count for lag, count in lags.items()), start=Fraction(1)
+    )
+
+
 def kn_coefficient(n: int, xi: Sequence, zeta_vec) -> Fraction:
     """Diagonal coefficient of the level-n commutator inflation on the
     elementary tensor with the given 2^n slot vectors.
 
-    Computed honestly by pairing the two symbolic leaf expansions slot by
-    slot with exact sparse inner products; equals C^(2^n) times the product
-    of the slot norms, with C = c_constant(zeta_vec).
+    Computed by pairing the two symbolic leaf expansions of trees q and a
+    with exact sparse inner products; equals C^(2^n) times the product of
+    the slot norms, with C = c_constant(zeta_vec).
     """
     if n < 0:
         raise ContractError("kn_coefficient: level must be >= 0")
@@ -176,21 +166,22 @@ def kn_coefficient(n: int, xi: Sequence, zeta_vec) -> Fraction:
     zeta_vec = _as_unit(zeta_vec)
     syms_q = forest_apply_shift(Forest((named_tree("q"),)))
     syms_a = forest_apply_shift(Forest((named_tree("a"),)))
-    total = Fraction(1)
+    # q and a both hang the slot input under their first leaf, so every leaf
+    # pair has one carrier: zeta_vec, alike in every slot, or the slot's own
+    shared = [(sq.power, sa.power) for sq, sa in zip(syms_q, syms_a) if sq.root is None]
+    own = [(sq.power, sa.power) for sq, sa in zip(syms_q, syms_a) if sq.root is not None]
+    total = _pairing(zeta_vec, shared) ** len(components)
     for comp in components:
-        for sq, sa in zip(syms_q, syms_a):
-            left = comp if sq.root is not None else zeta_vec
-            right = comp if sa.root is not None else zeta_vec
-            total *= unit_inner(left, right, sq.power, sa.power)
+        total *= _pairing(comp, own)
     return total
 
 
-def _overlap(g: VElement, m: int, bound: int) -> tuple[Fraction, Tree]:
+def _overlap(g: VElement, m: int) -> tuple[Fraction, Tree]:
     """The overlap <pi(g) xi_m, xi_m> and g's range tree refined so that its
     domain contains the level-m tree."""
-    if m < 1 or m > bound:
-        raise ContractError(f"almost_invariance: level {m} outside 1..{bound}")
-    z = zeta(m, bound)
+    if m < 1 or m > WINDOW_LEVEL_CAP:
+        raise ContractError(f"almost_invariance: level {m} outside 1..{WINDOW_LEVEL_CAP}")
+    z = zeta(m)
     level = complete_tree(m)
     slots = 2**m
 
@@ -206,13 +197,10 @@ def _overlap(g: VElement, m: int, bound: int) -> tuple[Fraction, Tree]:
     w2 = merge_trees(range_tree, level)
     left = _resolved_powers(residual_forest(w2, range_tree), powers_range)
     right = _resolved_powers(residual_forest(w2, level), [0] * slots)
-    value = Fraction(1)
-    for a, b in zip(left, right):
-        value *= z.inner_shifts(a, b)
-    return value, range_tree
+    return _pairing(z, zip(left, right)), range_tree
 
 
-def almost_invariance(g: VElement, m: int, bound: int = DEFAULT_WINDOW_BOUND) -> Fraction:
+def almost_invariance(g: VElement, m: int) -> Fraction:
     """Exact overlap <pi(g) xi_m, xi_m> against the level-m reference vector
     (the all-equal elementary tensor over the complete tree with 2^m leaves).
 
@@ -220,7 +208,7 @@ def almost_invariance(g: VElement, m: int, bound: int = DEFAULT_WINDOW_BOUND) ->
     is then a shift power of the same window vector, so the overlap is the
     product of rational shifted inner products.
     """
-    return _overlap(g, m, bound)[0]
+    return _overlap(g, m)[0]
 
 
 def invariance_bound(m: int) -> Fraction:
@@ -228,10 +216,10 @@ def invariance_bound(m: int) -> Fraction:
     return Fraction(8**m - 1, 8**m) ** (4**m)
 
 
-def almost_invariance_report(g: VElement, m: int, bound: int = DEFAULT_WINDOW_BOUND) -> dict:
+def almost_invariance_report(g: VElement, m: int) -> dict:
     """Coefficient, bound and the depth condition under which the bound is
     guaranteed (domain no deeper than m once refined, range no deeper than 2m)."""
-    value, range_tree = _overlap(g, m, bound)
+    value, range_tree = _overlap(g, m)
     ref = invariance_bound(m)
     return {
         "m": m,

@@ -33,7 +33,7 @@ F = "F"
 T_ONLY = "T_only"
 V_ONLY = "V_only"
 
-DEFAULT_LEVEL_BOUND = 8
+LEVEL_CAP = 8
 
 
 class Perm:
@@ -355,13 +355,13 @@ def builtin(name: str):
     raise ContractError(f"unknown builtin {name!r}")
 
 
-def inflated_element(name: str, n: int, bound: int = DEFAULT_LEVEL_BOUND) -> VElement:
+def inflated_element(name: str, n: int) -> VElement:
     """Level-n widening of g, h or k: 2^n parallel copies grafted onto the
     complete tree with 2^n leaves."""
     if name not in _ELEMENT_PAIRS:
         raise ContractError(f"inflated_element: no such family {name!r}")
-    if n < 0 or n > bound:
-        raise ContractError(f"inflated_element: level {n} outside 0..{bound}")
+    if n < 0 or n > LEVEL_CAP:
+        raise ContractError(f"inflated_element: level {n} outside 0..{LEVEL_CAP}")
     top, bottom = _ELEMENT_PAIRS[name]
     level = complete_tree(n)
     copies = 2**n
@@ -370,8 +370,8 @@ def inflated_element(name: str, n: int, bound: int = DEFAULT_LEVEL_BOUND) -> VEl
     return VElement(dom, rng)
 
 
-def family_kn(n: int, bound: int = DEFAULT_LEVEL_BOUND) -> VElement:
-    return inflated_element("k", n, bound)
+def family_kn(n: int) -> VElement:
+    return inflated_element("k", n)
 
 
 def family_gn(n: int) -> VElement:

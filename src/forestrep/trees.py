@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import ContractError, ParseError
 
-DEFAULT_ENUM_BOUND = 12
+ENUM_LEAF_CAP = 12
 
 
 class Tree:
@@ -431,12 +431,12 @@ def merge_trees(u: Tree, v: Tree) -> Tree:
 # ---------------------------------------------------------------------------
 # enumeration
 
-def enumerate_trees(n: int, bound: int = DEFAULT_ENUM_BOUND) -> tuple[Tree, ...]:
+def enumerate_trees(n: int) -> tuple[Tree, ...]:
     """All trees with n leaves in a fixed deterministic order."""
     if n < 1:
         raise ContractError("enumerate_trees: leaf count must be >= 1")
-    if n > bound:
-        raise ContractError(f"enumerate_trees: leaf count {n} exceeds bound {bound}")
+    if n > ENUM_LEAF_CAP:
+        raise ContractError(f"enumerate_trees: leaf count {n} exceeds bound {ENUM_LEAF_CAP}")
     return _all_trees(n)
 
 
@@ -452,12 +452,12 @@ def _all_trees(n: int) -> tuple[Tree, ...]:
     return tuple(out)
 
 
-def enumerate_forests(m: int, bound: int = DEFAULT_ENUM_BOUND) -> tuple[Forest, ...]:
+def enumerate_forests(m: int) -> tuple[Forest, ...]:
     """All forests with m leaves (any number of roots), deterministic order."""
     if m < 1:
         raise ContractError("enumerate_forests: leaf count must be >= 1")
-    if m > bound:
-        raise ContractError(f"enumerate_forests: leaf count {m} exceeds bound {bound}")
+    if m > ENUM_LEAF_CAP:
+        raise ContractError(f"enumerate_forests: leaf count {m} exceeds bound {ENUM_LEAF_CAP}")
     return tuple(Forest(trees) for trees in _forest_shapes(m))
 
 

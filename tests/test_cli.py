@@ -1,10 +1,12 @@
 import csv
 import json
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 from forestrep.cli import main
-from forestrep.thompson import family_kn, format_element_literal
+from forestrep.shiftrep import almost_invariance
+from forestrep.thompson import family_kn, format_element_literal, parse_element_literal
 
 
 REMARK = "(f3 f1 f1)/(f3 f1 f1)~[3,2,1,4]"
@@ -75,6 +77,13 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 1 and err.count("\n") == 1 and "contract violation" in err
     code, _, err = run(capsys, "element", "reduce", "f1/f1~[1.0, 2]")
     assert code == 1 and err.count("\n") == 1 and "contract violation" in err
+    for n in ("-1", "40"):
+        code, _, err = run(capsys, "kazhdan", "kn", "--n", n, "--m", "1")
+        assert code == 1 and err.count("\n") == 1 and "outside 0..8" in err
+    start = time.perf_counter()
+    code, _, err = run(capsys, "oracle", "word-injectivity", "--bound", "13")
+    assert code == 1 and err.count("\n") == 1 and "290512 trees" in err
+    assert time.perf_counter() - start < 10
 
 
 def test_deep_inputs(capsys):
@@ -91,6 +100,11 @@ def test_deep_inputs(capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 0 and out.count("\n") == 1 and err == ""
+    # the exact overlap at m=3 has a 6982-digit denominator, past str(int)'s limit
+    code, out, err = run(capsys, "kazhdan", "almost-invariant", "--element", combs, "--m", "3", "--json")
+    assert code == 0 and out.count("\n") == 1 and err == ""
+    num, den = (int(Decimal(part)) for part in json.loads(out)["coefficient"].split("/"))
+    assert Fraction(num, den) == almost_invariance(parse_element_literal(combs), 3) != 0
 
 
 def test_scan_vanishing_csv(tmp_path, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from forestrep.errors import ContractError
+from forestrep.oracles import random_elements
 from forestrep.shiftrep import (
     LeafSymbol,
     SparseVec,
@@ -56,7 +57,6 @@ def test_sparse_vec_basics():
     assert 2 not in v.entries
     assert v.shift(2).entries == {3: 1, 5: Fraction(1, 2)}
     assert v.dot(v) == 1 + Fraction(1, 4)
-    assert (v + v.scale(-1)).entries == {}
 
 
 def test_zeta_window():
@@ -69,7 +69,6 @@ def test_zeta_window():
         zeta(0)
     with pytest.raises(ContractError):
         zeta(4)
-    assert zeta(4, bound=4).scale_sq == window_size(4)
 
 
 def test_overlap_formula_against_direct_inner():
@@ -81,6 +80,18 @@ def test_overlap_formula_against_direct_inner():
                 expected = Fraction(max(h - abs(a - b), 0), h)
                 assert z.inner_shifts(a, b) == expected
         assert z.inner_shifts(h + 1, 0) == 0
+
+
+def test_inner_shifts_matches_two_shifted_copies():
+    # inner_shifts pairs one copy shifted by the lag b - a; check it against
+    # two shifted copies on vectors other than the flat window
+    rng = random.Random(23)
+    for _ in range(30):
+        u = random_unit(rng)
+        for a in range(-3, 4):
+            for b in range(-3, 4):
+                expected = u.vec.shift(a).dot(u.vec.shift(b)) / u.scale_sq
+                assert u.inner_shifts(a, b) == expected
 
 
 def test_shift_overlap_strictly_inside_unit():
@@ -196,12 +207,13 @@ def test_almost_invariance_bound():
 
 def test_almost_invariance_deep_combs():
     # right comb onto left comb with 2001 leaves: the first leaf carries shift
-    # 0 on one side and 1999 on the other, far outside the 16-slot window
+    # 0 on one side and 1999 on the other, outside the 16- and 256-slot windows
     left = parse_tree(" ".join(["f1"] * 2000))
     right = parse_tree(" ".join(f"f{i}" for i in range(2000, 0, -1)))
     g = VElement(right, left)
-    assert almost_invariance(g, 1) == 0
-    assert almost_invariance(~g, 1) == 0
+    for m in (1, 2):
+        assert almost_invariance(g, m) == 0
+        assert almost_invariance(~g, m) == 0
 
 
 def test_almost_invariance_monotone_through_levels():
@@ -239,3 +251,6 @@ def test_almost_invariance_refinement_independent():
     for g in (x0(), rotation2()):
         for m in (1, 2):
             assert almost_invariance(g, m) == _pair_through(g, m, 2 * m)
+    for m in (1, 2, 3):
+        for g in random_elements(5, 6, seed=40 + m):
+            assert almost_invariance(g, m) == _pair_through(g, m, m + 1)
