@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 from .errors import ContractError
 from .ring import ONE, RingElem
 from .thompson import Perm, VElement
-from .trees import Forest, Tree, enumerate_trees, subrooted_trees
+from .trees import Forest, Tree, enumerate_trees, fold_tree, subrooted_trees
 
 
 class RTensor:
@@ -31,7 +31,7 @@ class RTensor:
     built with the check disabled.
     """
 
-    __slots__ = ("indices", "entries", "_columns", "_tables")
+    __slots__ = ("indices", "entries", "_columns")
 
     def __init__(self, indices, entries: dict, check_isometry: bool = True):
         self.indices = tuple(indices)
@@ -45,7 +45,6 @@ class RTensor:
                 raise ContractError(f"RTensor: entry ({i},{j},{k}) outside the index set")
             columns[i].append(((j, k), value))
         self._columns = columns
-        self._tables: dict = {}
         if check_isometry:
             for i in self.indices:
                 total = sum((v * v for _, v in columns[i]), start=0)
@@ -61,28 +60,6 @@ class RTensor:
             return self._columns[i]
         except KeyError:
             raise ContractError(f"RTensor: index {i!r} outside the index set") from None
-
-    def _tree_table(self, t: Tree, i):
-        """Sparse map leaf-multi-index -> scalar for one tree with root index i."""
-        key = (t, i)
-        table = self._tables.get(key)
-        if table is not None:
-            return table
-        if t.is_leaf:
-            table = {(i,): 1}
-        else:
-            table = {}
-            for (j, k), weight in self.column(i):
-                left = self._tree_table(t.left, j)
-                right = self._tree_table(t.right, k)
-                for kl, vl in left.items():
-                    for kr, vr in right.items():
-                        out_key = kl + kr
-                        prev = table.get(out_key, 0)
-                        table[out_key] = prev + weight * vl * vr
-            table = {k2: v for k2, v in table.items() if not _is_zero(v)}
-        self._tables[key] = table
-        return table
 
 
 def _is_zero(v) -> bool:
@@ -109,12 +86,26 @@ def partition_function(f: Forest, R: RTensor, in_idx, out_idx):
     for i in in_idx + out_idx:
         if i not in index_set:
             raise ContractError(f"partition_function: index {i!r} outside the index set")
+
+    def join(left: dict, right: dict) -> dict:
+        # label i on a caret's top edge sums R_i^{j,k} * left[j] * right[k]
+        out = {}
+        for i in R.indices:
+            value = sum(
+                (w * left[j] * right[k] for (j, k), w in R.column(i) if j in left and k in right),
+                start=0,
+            )
+            if not _is_zero(value):
+                out[i] = value
+        return out
+
     total = 1
     pos = 0
     for root, t in zip(in_idx, f.trees):
         segment = out_idx[pos : pos + t.leaf_count]
         pos += t.leaf_count
-        value = R._tree_table(t, root).get(segment, 0)
+        # one state sum per tree: each node maps its top label to an amplitude
+        value = fold_tree(t, [{label: 1} for label in segment], join).get(root, 0)
         if _is_zero(value):
             return 0 * total if isinstance(total, RingElem) else 0
         total = total * value
@@ -203,8 +194,6 @@ class FarleyPhi(NamedTuple):
     exponent: int
 
     def as_float(self) -> float:
-        import math
-
         return math.exp(-float(self.beta) * self.exponent)
 
 

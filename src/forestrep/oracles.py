@@ -11,7 +11,7 @@ import itertools
 import math
 import random
 
-from .coefficients import RTensor, partition_function, phi_alpha
+from .coefficients import RTensor, _is_zero, partition_function, phi_alpha, word_window_tensor
 from .errors import ContractError
 from .ring import RingElem
 from .thompson import (
@@ -282,14 +282,8 @@ def operator_apply(f: Forest, R: RTensor, in_idx) -> dict:
             for (j, k), weight in R.column(key[pos - 1]):
                 out_key = key[: pos - 1] + (j, k) + key[pos:]
                 new[out_key] = new.get(out_key, 0) + weight * val
-        vec = {k2: v for k2, v in new.items() if _nonzero(v)}
+        vec = {k2: v for k2, v in new.items() if not _is_zero(v)}
     return vec
-
-
-def _nonzero(v) -> bool:
-    if isinstance(v, RingElem):
-        return not v.is_zero()
-    return v != 0
 
 
 def check_partition_operator_agreement(R: RTensor, max_leaves: int = 6) -> dict:
@@ -317,10 +311,19 @@ def check_partition_operator_agreement(R: RTensor, max_leaves: int = 6) -> dict:
 
 
 def check_vacuum_pairing(max_leaves: int = 5) -> dict:
-    """phi_alpha agrees with pairing the two vacuum expansions term by term
-    through the leaf bijection, for every element with small trees."""
-    from .coefficients import phi_expansion
+    """phi_alpha agrees with pairing the two trees' vacuum expansions term by
+    term through the leaf bijection, for every element with small trees.
 
+    Each expansion applies the elementary operators of the interpolation
+    tensor, windowed to every word shorter than max_leaves, to the vacuum.
+    """
+    words = ["".join(w) for n in range(max_leaves) for w in itertools.product("ab", repeat=n)]
+    R = word_window_tensor(words)
+    expansions = {
+        t: operator_apply(Forest((t,)), R, ("",))
+        for n in range(1, max_leaves + 1)
+        for t in enumerate_trees(n)
+    }
     instances = 0
     violations = 0
     seen: set[VElement] = set()
@@ -334,14 +337,10 @@ def check_vacuum_pairing(max_leaves: int = 5) -> dict:
                         continue
                     seen.add(g)
                     instances += 1
-                    domain_terms = phi_expansion(g.domain)
-                    range_terms = phi_expansion(g.range)
-                    lookup: dict = {}
-                    for coeff, words in domain_terms:
-                        lookup[g.perm.theta(words)] = coeff
+                    range_terms = expansions[g.range]
                     paired = RingElem()
-                    for coeff, words in range_terms:
-                        other = lookup.get(words)
+                    for labels, coeff in expansions[g.domain].items():
+                        other = range_terms.get(g.perm.theta(labels))
                         if other is not None:
                             paired = paired + coeff * other
                     if paired != phi_alpha(g):

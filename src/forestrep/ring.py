@@ -69,10 +69,6 @@ class RingElem:
         self.q = _trim(q)
 
     @classmethod
-    def from_int(cls, n: int) -> "RingElem":
-        return cls((n,))
-
-    @classmethod
     def alpha(cls) -> "RingElem":
         return cls((0, 1))
 

@@ -170,9 +170,11 @@ def kn_coefficient(n: int, xi: Sequence, zeta_vec) -> Fraction:
     # pair has one carrier: zeta_vec, alike in every slot, or the slot's own
     shared = [(sq.power, sa.power) for sq, sa in zip(syms_q, syms_a) if sq.root is None]
     own = [(sq.power, sa.power) for sq, sa in zip(syms_q, syms_a) if sq.root is not None]
+    # equal slots pair alike; SparseVec is unhashable, so they are found by ==
+    distinct = [comp for k, comp in enumerate(components) if comp not in components[:k]]
     total = _pairing(zeta_vec, shared) ** len(components)
-    for comp in components:
-        total *= _pairing(comp, own)
+    for comp in distinct:
+        total *= _pairing(comp, own) ** components.count(comp)
     return total
 
 

@@ -15,6 +15,9 @@ from typing import NamedTuple
 from .errors import ContractError, ParseError
 
 ENUM_LEAF_CAP = 12
+# the prefix table of either tree of g_100 (200 leaves); phi_alpha(g_100) takes
+# about 0.3 s and 35 MiB on a shared 2-vCPU VM
+PREFIX_TABLE_CAP = 36_330_498
 
 
 class Tree:
@@ -108,8 +111,7 @@ def compose(p: Forest, q: Forest) -> Forest:
         )
     out, start = [], 0
     for t in q.trees:
-        tops = p.trees[start : start + t.leaf_count]
-        out.append(_assemble(zip(tops, [d for _, d in leaf_cells(t)])))
+        out.append(fold_tree(t, p.trees[start : start + t.leaf_count], caret))
         start += t.leaf_count
     return Forest(out)
 
@@ -130,40 +132,24 @@ def complete_tree(n: int) -> Tree:
 
 
 def caret_positions(t: Tree) -> tuple[int, ...]:
-    """Leaf indices i such that leaves i and i+1 are the children of one caret."""
-    out: list[int] = []
-
-    def go(node: Tree, off: int) -> int:
-        if node.is_leaf:
-            return 1
-        nl = go(node.left, off)
-        nr = go(node.right, off + nl)
-        if node.left.is_leaf and node.right.is_leaf:
-            out.append(off + 1)
-        return nl + nr
-
-    go(t, 0)
-    return tuple(out)
+    """Leaf indices i such that leaves i and i+1 are the children of one caret:
+    their cells have one depth and the first has an even index."""
+    cells = leaf_cells(t)
+    return tuple(
+        k for k, ((index, depth), (_, other)) in enumerate(zip(cells, cells[1:]), 1)
+        if depth == other and index % 2 == 0
+    )
 
 
 def collapse_caret(t: Tree, i: int) -> Tree:
     """Replace the caret whose leaves are (i, i+1) by a single leaf."""
-
-    def go(node: Tree, k: int) -> Tree:
-        if node.is_leaf:
-            raise ContractError(f"collapse_caret: leaves {i},{i + 1} are not siblings")
-        nl = node.left.leaf_count
-        if node.left.is_leaf and node.right.is_leaf and k == 1:
-            return LEAF
-        if k + 1 <= nl:
-            return caret(go(node.left, k), node.right)
-        if k > nl:
-            return caret(node.left, go(node.right, k - nl))
-        raise ContractError(f"collapse_caret: leaves {i},{i + 1} are not siblings")
-
     if not 1 <= i < t.leaf_count:
         raise ContractError(f"collapse_caret: leaf {i} out of range")
-    return go(t, i)
+    if i not in caret_positions(t):
+        raise ContractError(f"collapse_caret: leaves {i},{i + 1} are not siblings")
+    depths = [d for _, d in leaf_cells(t)]
+    depths[i - 1 : i + 1] = [depths[i] - 1]
+    return tree_from_depths(depths)
 
 
 def split_sequence(t: Tree) -> tuple[int, ...]:
@@ -216,18 +202,25 @@ def tree_from_depths(depths) -> Tree:
     return _assemble((LEAF, d) for d in depths)
 
 
-def _assemble(items) -> Tree:
+def fold_tree(t: Tree, leaves, join):
+    """Fold t bottom-up without recursion: leaf k, left to right, holds
+    leaves[k] and each caret holds join(left value, right value).  With
+    join=caret this hangs the given trees under the leaves of t."""
+    return _assemble(zip(leaves, [d for _, d in leaf_cells(t)]), join)
+
+
+def _assemble(items, join=caret):
     """The tree whose subtrees at the given depths cover its leaves left to
-    right, from (subtree, depth) pieces.
+    right, from (subtree, depth) pieces; another join folds values instead.
 
     Shift-reduce: two finished subtrees on top of the stack with equal root
     depth are siblings, because the subtrees on the stack cover a prefix of
     [0, 1) by dyadic cells of strictly decreasing size.
     """
-    stack: list[tuple[Tree, int]] = []
+    stack: list[tuple] = []
     for node, d in items:
         while stack and stack[-1][1] == d:
-            node = caret(stack.pop()[0], node)
+            node = join(stack.pop()[0], node)
             d -= 1
         stack.append((node, d))
     if len(stack) != 1 or stack[0][1] != 0:
@@ -351,23 +344,15 @@ def path_words(f: Forest | Tree) -> tuple[str, ...]:
 
     A left turn contributes 'a', a right turn 'b'; the letter for the turn
     nearest the leaf is written first, so the first turn taken is the
-    rightmost character.  The empty word is the trivial path.
+    rightmost character.  The empty word is the trivial path.  These are the
+    bits of each leaf cell's index, lowest first.
     """
-    if isinstance(f, Tree):
-        return _tree_words(f)
-    out: list[str] = []
-    for t in f.trees:
-        out.extend(_tree_words(t))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _tree_words(t: Tree) -> tuple[str, ...]:
-    if t.is_leaf:
-        return ("",)
-    left = tuple(w + "a" for w in _tree_words(t.left))
-    right = tuple(w + "b" for w in _tree_words(t.right))
-    return left + right
+    trees = (f,) if isinstance(f, Tree) else f.trees
+    return tuple(
+        "".join("ab"[index >> k & 1] for k in range(depth))
+        for t in trees
+        for index, depth in leaf_cells(t)
+    )
 
 
 def format_words(words) -> str:
@@ -394,23 +379,45 @@ class Subrooted(NamedTuple):
 @lru_cache(maxsize=None)
 def subrooted_trees(t: Tree) -> tuple[Subrooted, ...]:
     """All prefixes of t (subtrees sharing its root), trivial prefix first,
-    then by increasing leaf count with ties broken by the left subtree."""
-    raw = sorted(_prefixes(t), key=lambda zr: zr[0].leaf_count)
-    out = []
-    for z, residual in raw:
-        forest = Forest(residual)
-        m = sum(1 for tree in residual if not tree.is_leaf)
-        out.append(Subrooted(z, m, path_words(forest)))
-    return tuple(out)
+    then by increasing leaf count with ties broken by the left subtree.  A
+    table of more than PREFIX_TABLE_CAP entries is refused before it is built."""
+    size = _prefix_table_size(t)
+    if size > PREFIX_TABLE_CAP:
+        raise ContractError(
+            f"subrooted_trees: the prefixes of a {t.leaf_count}-leaf tree make a table"
+            f" of {size} entries, over the cap of {PREFIX_TABLE_CAP}"
+        )
+    raw = sorted(_prefixes(t), key=lambda entry: entry[0].leaf_count)
+    return tuple(Subrooted(*entry) for entry in raw)
 
 
-def _prefixes(t: Tree) -> list[tuple[Tree, tuple[Tree, ...]]]:
-    items: list[tuple[Tree, tuple[Tree, ...]]] = [(LEAF, (t,))]
-    if not t.is_leaf:
-        for zl, rl in _prefixes(t.left):
-            for zr, rr in _prefixes(t.right):
-                items.append((caret(zl, zr), rl + rr))
-    return items
+def _prefixes(t: Tree) -> list[tuple[Tree, int, tuple[str, ...]]]:
+    """(prefix, inner leaves, residual words) for every prefix of t: the
+    trivial prefix, then caret(zl, zr) with zl the outer loop."""
+    return fold_tree(t, [[(LEAF, 0, ("",))]] * t.leaf_count, _join_prefixes)
+
+
+def _join_prefixes(left, right):
+    # below the trivial prefix every word gains the turn taken at this caret
+    words = tuple(w + "a" for w in left[0][2]) + tuple(w + "b" for w in right[0][2])
+    return [(LEAF, 1, words)] + [
+        (caret(zl, zr), il + ir, wl + wr) for zl, il, wl in left for zr, ir, wr in right
+    ]
+
+
+def _prefix_table_size(t: Tree) -> int:
+    """Entries of subrooted_trees(t), a word per leaf per prefix plus their
+    letters, from a fold of (prefixes, entries, leaves, leaf depth sum): the
+    trivial prefix holds the full paths, and caret(zl, zr) pairs each prefix
+    of one side with every prefix of the other."""
+
+    def join(left, right):
+        (pl, sl, nl, dl), (pr, sr, nr, dr) = left, right
+        leaves = nl + nr
+        depths = dl + dr + leaves
+        return 1 + pl * pr, leaves + depths + sl * pr + sr * pl, leaves, depths
+
+    return fold_tree(t, [(1, 1, 1, 0)] * t.leaf_count, join)[1]
 
 
 def residual_forest(w: Tree, z: Tree) -> Forest:

@@ -107,6 +107,21 @@ def test_deep_inputs(capsys):
     assert Fraction(num, den) == almost_invariance(parse_element_literal(combs), 3) != 0
 
 
+def test_oversized_prefix_tables_are_refused(capsys):
+    left = " ".join(["f1"] * 2000)
+    right = " ".join(f"f{i}" for i in range(2000, 0, -1))
+    for args, size in (
+        (["--element", "k_3", "--symbolic"], 491736872),
+        (["--element", "g_500", "--alpha", "1/2"], 21208252498),
+        (["--element", f"({right})/({left})", "--symbolic"], 1341339001),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "phi", *args)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert f"table of {size} entries" in err
+        assert time.perf_counter() - start < 10
+
+
 def test_scan_vanishing_csv(tmp_path, capsys):
     target = tmp_path / "scan.csv"
     code, out, _ = run(

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -74,6 +75,59 @@ def test_partition_function_boundary_validation():
         partition_function(f, R, (1,), (1,))
     with pytest.raises(ContractError):
         partition_function(f, R, (3,), (1, 1))
+
+
+def _table_reference(R):
+    # reference: tabulate every leaf labelling of each (tree, root label), recursively
+    tables = {}
+
+    def table(t, i):
+        if (t, i) not in tables:
+            if t.is_leaf:
+                tables[t, i] = {(i,): 1}
+            else:
+                out = {}
+                for (j, k), weight in R.column(i):
+                    for kl, vl in table(t.left, j).items():
+                        for kr, vr in table(t.right, k).items():
+                            out[kl + kr] = out.get(kl + kr, 0) + weight * vl * vr
+                tables[t, i] = {key: v for key, v in out.items() if v != 0}
+        return tables[t, i]
+
+    def partition(f, in_idx, out_idx):
+        total, pos = 1, 0
+        for root, t in zip(in_idx, f.trees):
+            total *= table(t, root).get(out_idx[pos : pos + t.leaf_count], 0)
+            pos += t.leaf_count
+        return total
+
+    return partition
+
+
+def test_partition_function_matches_table_reference():
+    R = two_symbol_tensor()
+    reference = _table_reference(R)
+    instances = 0
+    for m in range(1, 7):
+        for f in enumerate_forests(m):
+            for in_idx in itertools.product(R.indices, repeat=f.root_count):
+                for out_idx in itertools.product(R.indices, repeat=m):
+                    value = partition_function(f, R, in_idx, out_idx)
+                    assert value == reference(f, in_idx, out_idx)
+                    instances += 1
+    assert instances == 68_508
+
+
+def test_partition_function_deep_comb():
+    comb = LEAF
+    for _ in range(2000):
+        comb = caret(comb, LEAF)
+    f = Forest((comb,))
+    assert partition_function(f, RTensor((0,), {(0, 0, 0): 1}), (0,), (0,) * 2001) == 1
+    # only (1, 1, 1) joins a left subtree to a right leaf labelled 1
+    R = two_symbol_tensor()
+    assert partition_function(f, R, (1,), (1,) * 2001) == Fraction(3, 5) ** 2000
+    assert partition_function(f, R, (2,), (1,) * 2001) == 0
 
 
 def test_partition_function_matches_operator_route_small():

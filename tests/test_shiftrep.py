@@ -170,6 +170,28 @@ def test_kn_coefficient_random_unit_components():
         assert kn_coefficient(n, components, z) == c**(2**n) * norms
 
 
+def test_kn_coefficient_pairs_equal_slots_once(monkeypatch):
+    calls = []
+    original = UnitVec.inner_shifts
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(UnitVec, "inner_shifts", counted)
+    z = zeta(1)
+    counts = []
+    for n in range(6):
+        calls.clear()
+        assert kn_coefficient(n, [z] * 2**n, z) == Fraction(1575, 2048) ** (2**n)
+        counts.append(len(calls))
+    assert len(set(counts)) == 1
+    # equal slots given as distinct objects group too
+    calls.clear()
+    assert kn_coefficient(2, [zeta(1) for _ in range(4)], z) == Fraction(1575, 2048) ** 4
+    assert len(calls) == counts[0]
+
+
 def test_kn_coefficient_arity():
     z = zeta(1)
     with pytest.raises(ContractError):

@@ -6,9 +6,13 @@ import pytest
 from forestrep.errors import ContractError, ParseError
 from forestrep.trees import (
     LEAF,
+    PREFIX_TABLE_CAP,
     Forest,
     Tree,
+    _prefix_table_size,
     caret,
+    caret_positions,
+    collapse_caret,
     complete_tree,
     compose,
     elementary_forest,
@@ -282,6 +286,123 @@ def test_subrooted_residual_properties():
                 assert entry.inner_leaves == sum(1 for u in f.trees if not u.is_leaf)
                 pure_a = [w for w in entry.words if w and set(w) == {"a"}]
                 assert len(pure_a) == entry.inner_leaves
+
+
+# recursive reference walks, one call per tree node, for the leaf-cell versions
+
+def _words_by_recursion(t):
+    if t.is_leaf:
+        return ("",)
+    return tuple(w + "a" for w in _words_by_recursion(t.left)) + tuple(
+        w + "b" for w in _words_by_recursion(t.right)
+    )
+
+
+def _prefixes_by_recursion(t):
+    items = [(LEAF, (t,))]
+    if not t.is_leaf:
+        for zl, rl in _prefixes_by_recursion(t.left):
+            for zr, rr in _prefixes_by_recursion(t.right):
+                items.append((caret(zl, zr), rl + rr))
+    return items
+
+
+def _subrooted_by_recursion(t):
+    out = []
+    for z, residual in sorted(_prefixes_by_recursion(t), key=lambda zr: zr[0].leaf_count):
+        words = tuple(w for tree in residual for w in _words_by_recursion(tree))
+        out.append((z, sum(1 for tree in residual if not tree.is_leaf), words))
+    return out
+
+
+def _caret_positions_by_recursion(t):
+    out = []
+
+    def go(node, off):
+        if node.is_leaf:
+            return 1
+        nl = go(node.left, off)
+        nr = go(node.right, off + nl)
+        if node.left.is_leaf and node.right.is_leaf:
+            out.append(off + 1)
+        return nl + nr
+
+    go(t, 0)
+    return tuple(out)
+
+
+def _collapse_by_recursion(t, i):
+    def go(node, k):
+        if node.is_leaf:
+            raise ContractError(f"collapse_caret: leaves {i},{i + 1} are not siblings")
+        nl = node.left.leaf_count
+        if node.left.is_leaf and node.right.is_leaf and k == 1:
+            return LEAF
+        if k + 1 <= nl:
+            return caret(go(node.left, k), node.right)
+        if k > nl:
+            return caret(node.left, go(node.right, k - nl))
+        raise ContractError(f"collapse_caret: leaves {i},{i + 1} are not siblings")
+
+    if not 1 <= i < t.leaf_count:
+        raise ContractError(f"collapse_caret: leaf {i} out of range")
+    return go(t, i)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ContractError as exc:
+        return str(exc)
+
+
+def test_leaf_cell_walks_match_recursive_references():
+    checked = 0
+    for n in range(1, 9):
+        for t in enumerate_trees(n):
+            assert path_words(t) == _words_by_recursion(t)
+            assert caret_positions(t) == _caret_positions_by_recursion(t)
+            for i in range(0, n + 1):
+                assert _outcome(collapse_caret, t, i) == _outcome(_collapse_by_recursion, t, i)
+            entries = subrooted_trees(t)
+            reference = _subrooted_by_recursion(t)
+            assert len(entries) == len(reference)
+            for entry, (z, inner, words) in zip(entries, reference):
+                assert entry.tree is z and entry.inner_leaves == inner and entry.words == words
+            assert _prefix_table_size(t) == sum(len(e.words) + sum(map(len, e.words)) for e in entries)
+            checked += 1
+    assert checked == sum(catalan(n - 1) for n in range(1, 9))
+    forests = [f for m in range(1, 6) for f in enumerate_forests(m)]
+    for f in forests:
+        assert path_words(f) == tuple(w for t in f.trees for w in _words_by_recursion(t))
+
+
+def test_deep_comb_walks_without_recursion():
+    left = right = LEAF
+    for _ in range(2000):
+        left, right = caret(left, LEAF), caret(LEAF, right)
+    assert path_words(left) == ("a" * 2000,) + tuple("b" + "a" * k for k in range(1999, -1, -1))
+    assert path_words(right) == tuple("a" + "b" * k for k in range(2000)) + ("b" * 2000,)
+    assert caret_positions(left) == (1,) and caret_positions(right) == (2000,)
+    assert collapse_caret(left, 1) is left.left and collapse_caret(right, 2000) is right.right
+    with pytest.raises(ContractError, match="not siblings"):
+        collapse_caret(left, 2)
+
+
+def test_prefix_table_refused_by_size():
+    from forestrep.thompson import family_gn, family_kn
+
+    assert _prefix_table_size(family_kn(1).range) == 982
+    assert _prefix_table_size(family_kn(2).domain) == 98_308
+    g_100 = family_gn(100).range
+    assert _prefix_table_size(g_100) == PREFIX_TABLE_CAP
+    assert len(subrooted_trees.__wrapped__(g_100)) == 10_001  # at the cap: built, not cached
+    comb = LEAF
+    for _ in range(2000):
+        comb = caret(comb, LEAF)
+    for t, size in ((family_kn(3).range, 491_736_872), (comb, 1_341_339_001)):
+        with pytest.raises(ContractError, match=f"table of {size} entries, over the cap"):
+            subrooted_trees(t)
 
 
 def test_merge_and_residual():
