@@ -204,16 +204,15 @@ def _cmd_gram(args, out) -> int:
 
 def _cmd_farley(args, out) -> int:
     g = _load_element(args.element)
-    norm = farley_norm(g)
-    print(f"norm_sq={norm}", file=out)
+    decay = None if args.beta is None else farley_phi(g, _parse_fraction(args.beta))
+    print(f"norm_sq={farley_norm(g)}", file=out)
     print(f"phi_alpha={phi_alpha(g)}", file=out)
     verdict = "matches" if farley_matches_phi(g) else "differs"
     print(f"exponential-family={verdict}", file=out)
-    if args.beta is not None:
-        value = farley_phi(g, _parse_fraction(args.beta))
-        print(f"decay=exp(-{value.beta})^{value.exponent}", file=out)
+    if decay is not None:
+        print(f"decay=exp(-{decay.beta})^{decay.exponent}", file=out)
         if args.float:
-            print(f"decay_float={value.as_float()!r}", file=out)
+            print(f"decay_float={decay.as_float()!r}", file=out)
     return 0
 
 
@@ -245,16 +244,16 @@ def _cmd_kazhdan(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
+    # each check keeps its own default bound
+    bound = () if args.bound is None else (args.bound,)
     if args.which == "word-injectivity":
-        report = check_word_injectivity(args.bound if args.bound else 8)
+        report = check_word_injectivity(*bound)
     elif args.which == "cyclic-forest":
-        report = check_cyclic_forest_lemma(args.bound if args.bound else 6)
+        report = check_cyclic_forest_lemma(*bound)
     elif args.which == "parity":
-        report = check_term_parity(max_leaves=args.bound if args.bound else 5)
+        report = check_term_parity(*bound)
     else:
-        report = check_reduction_soundness(
-            samples=args.bound if args.bound else 500, seed=args.seed
-        )
+        report = check_reduction_soundness(*bound, seed=args.seed)
     print(json.dumps(report), file=out)
     return 0 if report["violations"] == 0 else 1
 

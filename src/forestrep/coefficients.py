@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import ContractError
 from .ring import ONE, RingElem
-from .thompson import Perm, VElement
+from .thompson import Perm, VElement, inverse, multiply
 from .trees import Forest, Tree, enumerate_trees, fold_tree, subrooted_trees
 
 
@@ -47,12 +47,7 @@ class RTensor:
         self._columns = columns
         if check_isometry:
             for i in self.indices:
-                total = sum((v * v for _, v in columns[i]), start=0)
-                if isinstance(total, RingElem):
-                    ok = total == ONE
-                else:
-                    ok = Fraction(total) == 1
-                if not ok:
+                if sum((v * v for _, v in columns[i]), start=0) != 1:
                     raise ContractError(f"RTensor: column {i!r} is not norm one")
 
     def column(self, i):
@@ -60,12 +55,6 @@ class RTensor:
             return self._columns[i]
         except KeyError:
             raise ContractError(f"RTensor: index {i!r} outside the index set") from None
-
-
-def _is_zero(v) -> bool:
-    if isinstance(v, RingElem):
-        return v.is_zero()
-    return v == 0
 
 
 def partition_function(f: Forest, R: RTensor, in_idx, out_idx):
@@ -95,7 +84,7 @@ def partition_function(f: Forest, R: RTensor, in_idx, out_idx):
                 (w * left[j] * right[k] for (j, k), w in R.column(i) if j in left and k in right),
                 start=0,
             )
-            if not _is_zero(value):
+            if value != 0:
                 out[i] = value
         return out
 
@@ -106,8 +95,8 @@ def partition_function(f: Forest, R: RTensor, in_idx, out_idx):
         pos += t.leaf_count
         # one state sum per tree: each node maps its top label to an amplitude
         value = fold_tree(t, [{label: 1} for label in segment], join).get(root, 0)
-        if _is_zero(value):
-            return 0 * total if isinstance(total, RingElem) else 0
+        if value == 0:
+            return 0 * total
         total = total * value
     return total
 
@@ -257,8 +246,6 @@ def psd_ldlt(matrix) -> GramResult:
 
 def gram_psd_check(elements, alpha) -> GramResult:
     """Exact PSD verdict for M[i][j] = phi_alpha(g_i^-1 g_j) at a rational alpha."""
-    from .thompson import inverse, multiply
-
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise ContractError("gram_psd_check: alpha must lie in [0, 1]")
@@ -315,6 +302,8 @@ def vanishing_scan(alpha, max_leaves: int) -> list[VanishRow]:
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise ContractError("vanishing_scan: alpha must lie in [0, 1]")
+    if max_leaves < 0:
+        raise ContractError(f"vanishing_scan: max_leaves {max_leaves} is negative")
     triples = _rotation_triples(max_leaves)
     if triples > _SCAN_TRIPLE_CAP:
         raise ContractError(

@@ -10,8 +10,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 
-from .coefficients import RTensor, _is_zero, partition_function, phi_alpha, word_window_tensor
+from .coefficients import RTensor, partition_function, phi_alpha, word_window_tensor
 from .errors import ContractError
 from .ring import RingElem
 from .thompson import (
@@ -26,6 +27,7 @@ from .thompson import (
 from .trees import (
     ENUM_LEAF_CAP,
     Forest,
+    _prefixes,
     caret_positions,
     collapse_caret,
     enumerate_forests,
@@ -33,20 +35,37 @@ from .trees import (
     graft,
     path_words,
     split_sequence,
-    subrooted_trees,
 )
+
+
+def _catalan(n: int) -> int:
+    return math.comb(2 * n, n) // (n + 1)
+
+
+def _tree_count(n: int) -> int:
+    return _catalan(n - 1)
+
+
+def _check_bound(check: str, max_leaves: int, noun: str, count) -> None:
+    """Refuse a leaf bound outside 1..ENUM_LEAF_CAP before enumerating
+    anything.  Past the cap the message states the count(n) trees or forests
+    with n leaves summed up to one leaf past the cap, which any larger bound
+    would enumerate too."""
+    if max_leaves < 1:
+        raise ContractError(f"{check}: max_leaves {max_leaves} is below 1")
+    if max_leaves > ENUM_LEAF_CAP:
+        total = sum(count(n) for n in range(1, ENUM_LEAF_CAP + 2))
+        raise ContractError(
+            f"{check}: max_leaves {max_leaves} means at least {total} {noun},"
+            f" past the enumeration cap of {ENUM_LEAF_CAP} leaves"
+        )
 
 
 def check_word_injectivity(max_leaves: int = 8) -> dict:
     """Path-word tuples separate trees: distinct trees with equal leaf count
     never share a word multiset, and within one tree all words differ, so no
     nontrivial permutation can match two tuples."""
-    if max_leaves > ENUM_LEAF_CAP:  # refused before enumerating the smaller trees
-        trees = sum(math.comb(2 * n - 2, n - 1) // n for n in range(1, max_leaves + 1))
-        raise ContractError(
-            f"word-injectivity: max_leaves {max_leaves} means {trees} trees,"
-            f" past the enumeration cap of {ENUM_LEAF_CAP} leaves"
-        )
+    _check_bound("word-injectivity", max_leaves, "trees", _tree_count)
     instances = 0
     violations = 0
     for n in range(1, max_leaves + 1):
@@ -70,22 +89,26 @@ def check_word_injectivity(max_leaves: int = 8) -> dict:
 
 def check_cyclic_forest_lemma(max_leaves: int = 6) -> dict:
     """A rotation matching the path words of two forests forces equal root
-    counts and trees equal up to the same cyclic shift of positions."""
+    counts and trees equal up to the same cyclic shift of positions.
+
+    Every (p, q, c) of two m-leaf forests and a rotation counts as an
+    instance; the q whose words equal p's words rotated by c are looked up
+    by those words, so only the matches are compared."""
+    _check_bound("cyclic-forest", max_leaves, "forests", _catalan)
     instances = 0
     matches = 0
     violations = 0
     for m in range(1, max_leaves + 1):
         forests = enumerate_forests(m)
-        words = {f: path_words(f) for f in forests}
+        by_words: dict[tuple[str, ...], list[Forest]] = {}
+        for f in forests:
+            by_words.setdefault(path_words(f), []).append(f)
+        instances += m * len(forests) ** 2
         for p in forests:
-            wp = words[p]
-            for q in forests:
-                wq = words[q]
-                for c in range(m):
-                    instances += 1
-                    rotated = wp[-c:] + wp[:-c] if c else wp
-                    if rotated != wq:
-                        continue
+            wp = path_words(p)
+            for c in range(m):
+                rotated = wp[-c:] + wp[:-c] if c else wp
+                for q in by_words.get(rotated, ()):
                     matches += 1
                     if p.root_count != q.root_count:
                         violations += 1
@@ -105,55 +128,32 @@ def check_cyclic_forest_lemma(max_leaves: int = 6) -> dict:
     }
 
 
-def check_term_parity(elements=None, max_leaves: int | None = None) -> dict:
+def check_term_parity(max_leaves: int = 5) -> dict:
     """Every matching prefix pair hides the same number of inner leaves on
     both sides, so matched coefficients carry an even combined beta power.
 
-    With ``elements`` the pairs are matched through each element's own leaf
-    bijection; with ``max_leaves`` the check runs over all tree pairs,
-    matching prefix pairs whenever any bijection could pair them (equal word
-    multisets).
+    The check runs over all pairs of n-leaf trees, matching prefix pairs
+    whenever any bijection could pair them (equal word multisets).  Per n it
+    counts the prefixes N[key][v] of every tree by word multiset and inner
+    leaves v, so the matched pairs number sum N[key]^2 and the mismatched
+    ones sum N[key]^2 - sum_v N[key][v]^2, without forming a pair.
     """
-    if elements is None and max_leaves is None:
-        max_leaves = 5
-    elements = list(elements) if elements is not None else None
-    nonzero_terms = 0
+    _check_bound("term-parity", max_leaves, "trees", _tree_count)
+    instances = 0
     violations = 0
-    if elements is not None:
-        for g in elements:
-            lookup = {}
-            for entry in subrooted_trees(g.domain):
-                lookup[g.perm.theta(entry.words)] = entry.inner_leaves
-            for entry in subrooted_trees(g.range):
-                inner = lookup.get(entry.words)
-                if inner is None:
-                    continue
-                nonzero_terms += 1
-                if inner != entry.inner_leaves:
-                    violations += 1
-    if max_leaves is not None:
-        for n in range(1, max_leaves + 1):
-            trees = enumerate_trees(n)
-            for t in trees:
-                range_terms = [
-                    (tuple(sorted(e.words)), e.inner_leaves) for e in subrooted_trees(t)
-                ]
-                for s in trees:
-                    domain_index: dict[tuple, list[int]] = {}
-                    for e in subrooted_trees(s):
-                        domain_index.setdefault(tuple(sorted(e.words)), []).append(
-                            e.inner_leaves
-                        )
-                    for key, inner_t in range_terms:
-                        for inner_s in domain_index.get(key, ()):
-                            nonzero_terms += 1
-                            if inner_t != inner_s:
-                                violations += 1
+    for n in range(1, max_leaves + 1):
+        groups: dict[tuple[str, ...], Counter] = {}
+        for t in enumerate_trees(n):
+            for _, inner, words in _prefixes(t):
+                groups.setdefault(tuple(sorted(words)), Counter())[inner] += 1
+        for by_inner in groups.values():
+            total = sum(by_inner.values())
+            instances += total * total
+            violations += total * total - sum(k * k for k in by_inner.values())
     return {
         "check": "term-parity",
         "bound": max_leaves,
-        "elements": len(elements) if elements is not None else None,
-        "instances": nonzero_terms,
+        "instances": instances,
         "violations": violations,
     }
 
@@ -210,6 +210,8 @@ def check_reduction_soundness(samples: int = 500, seed: int = 42) -> dict:
     """Canonical forms act like the representatives they come from, rebuilding
     from an inflated representative lands on the same canonical triple, and no
     single further cancellation yields a smaller pair with the same action."""
+    if samples < 1:
+        raise ContractError(f"reduction-soundness: samples {samples} is below 1")
     rng = random.Random(seed)
     violations = 0
     speculative = 0
@@ -282,7 +284,7 @@ def operator_apply(f: Forest, R: RTensor, in_idx) -> dict:
             for (j, k), weight in R.column(key[pos - 1]):
                 out_key = key[: pos - 1] + (j, k) + key[pos:]
                 new[out_key] = new.get(out_key, 0) + weight * val
-        vec = {k2: v for k2, v in new.items() if not _is_zero(v)}
+        vec = {k2: v for k2, v in new.items() if v != 0}
     return vec
 
 

@@ -75,11 +75,6 @@ class Perm:
     def inverse(self) -> "Perm":
         return Perm(self._inv)
 
-    def __mul__(self, other: "Perm") -> "Perm":
-        if self.size != other.size:
-            raise ContractError("Perm: cannot compose permutations of different sizes")
-        return Perm(self.images[other.images[k] - 1] for k in range(self.size))
-
     def theta(self, seq):
         """Rearrange a sequence: slot i of the result is seq[inverse(i)]."""
         if len(seq) != self.size:

@@ -440,42 +440,41 @@ def merge_trees(u: Tree, v: Tree) -> Tree:
 
 def enumerate_trees(n: int) -> tuple[Tree, ...]:
     """All trees with n leaves in a fixed deterministic order."""
-    if n < 1:
-        raise ContractError("enumerate_trees: leaf count must be >= 1")
-    if n > ENUM_LEAF_CAP:
-        raise ContractError(f"enumerate_trees: leaf count {n} exceeds bound {ENUM_LEAF_CAP}")
-    return _all_trees(n)
-
-
-@lru_cache(maxsize=None)
-def _all_trees(n: int) -> tuple[Tree, ...]:
-    if n == 1:
-        return (LEAF,)
-    out = []
-    for k in range(1, n):
-        for left in _all_trees(k):
-            for right in _all_trees(n - k):
-                out.append(caret(left, right))
-    return tuple(out)
+    return _trees_by_size("enumerate_trees", n)[n]
 
 
 def enumerate_forests(m: int) -> tuple[Forest, ...]:
-    """All forests with m leaves (any number of roots), deterministic order."""
-    if m < 1:
-        raise ContractError("enumerate_forests: leaf count must be >= 1")
-    if m > ENUM_LEAF_CAP:
-        raise ContractError(f"enumerate_forests: leaf count {m} exceeds bound {ENUM_LEAF_CAP}")
-    return tuple(Forest(trees) for trees in _forest_shapes(m))
+    """All forests with m leaves (any number of roots), deterministic order:
+    by the first tree's leaf count, then the first tree, then the rest."""
+    trees = _trees_by_size("enumerate_forests", m)
+    shapes: list[list[tuple[Tree, ...]]] = [[()]]
+    for size in range(1, m + 1):
+        shapes.append(
+            [
+                (first,) + rest
+                for k in range(1, size + 1)
+                for first in trees[k]
+                for rest in shapes[size - k]
+            ]
+        )
+    return tuple(Forest(shape) for shape in shapes[m])
 
 
-@lru_cache(maxsize=None)
-def _forest_shapes(m: int) -> tuple[tuple[Tree, ...], ...]:
-    out: list[tuple[Tree, ...]] = []
-    for k in range(1, m + 1):
-        for first in _all_trees(k):
-            if k == m:
-                out.append((first,))
-            else:
-                for rest in _forest_shapes(m - k):
-                    out.append((first,) + rest)
-    return tuple(out)
+def _trees_by_size(caller: str, n: int) -> list[tuple[Tree, ...]]:
+    """The trees with k leaves for k = 0..n, none for k = 0; caret(left, right)
+    ordered by the left leaf count, then the left tree, then the right."""
+    if n < 1:
+        raise ContractError(f"{caller}: leaf count must be >= 1")
+    if n > ENUM_LEAF_CAP:
+        raise ContractError(f"{caller}: leaf count {n} exceeds bound {ENUM_LEAF_CAP}")
+    out: list[tuple[Tree, ...]] = [(), (LEAF,)]
+    for size in range(2, n + 1):
+        out.append(
+            tuple(
+                caret(left, right)
+                for k in range(1, size)
+                for left in out[k]
+                for right in out[size - k]
+            )
+        )
+    return out

@@ -4,7 +4,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
-from forestrep.cli import main
+from forestrep.cli import SWEEP_FIELDS, main
 from forestrep.shiftrep import almost_invariance
 from forestrep.thompson import family_kn, format_element_literal, parse_element_literal
 
@@ -59,6 +59,10 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 1 and "contract violation" in err
     code, _, err = run(capsys, "scan-vanishing", "--alpha", "1/2", "--max-leaves", "13")
     assert code == 1 and err.count("\n") == 1 and "contract violation" in err
+    code, out, err = run(capsys, "scan-vanishing", "--alpha", "1/2", "--max-leaves", "-1")
+    assert code == 1 and out == "" and err.count("\n") == 1 and "negative" in err
+    code, out, _ = run(capsys, "scan-vanishing", "--alpha", "1/2", "--max-leaves", "0")
+    assert code == 0 and out.splitlines() == [",".join(SWEEP_FIELDS)]
     start = time.perf_counter()
     code, _, err = run(capsys, "scan-vanishing", "--alpha", "1/2", "--max-leaves", "8")
     assert code == 1 and err.count("\n") == 1 and "1605975 triples" in err
@@ -187,6 +191,8 @@ def test_farley(capsys):
     assert "decay=exp(-1/2)^6" in out
     code, out, _ = run(capsys, "farley", "--element", "(f1 f1)/(f2 f1)")
     assert "exponential-family=matches" in out
+    code, out, err = run(capsys, "farley", "--element", "g", "--beta", "-1")
+    assert code == 1 and out == "" and err.count("\n") == 1 and "contract violation" in err
 
 
 def test_kazhdan_kn(capsys):
@@ -216,6 +222,22 @@ def test_oracle_json(capsys):
     code, out, _ = run(capsys, "oracle", "reduction", "--bound", "30", "--seed", "11")
     assert code == 0
     assert json.loads(out)["violations"] == 0
+
+
+def test_oracle_bounds_refused_up_front(capsys):
+    for which, count in (
+        ("word-injectivity", "290512 trees"),
+        ("cyclic-forest", "1033411 forests"),
+        ("parity", "290512 trees"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", which, "--bound", "13")
+        assert time.perf_counter() - start < 2
+        assert code == 1 and out == "" and err.count("\n") == 1 and count in err
+    for which in ("word-injectivity", "cyclic-forest", "parity", "reduction"):
+        for bound in ("0", "-1"):
+            code, out, err = run(capsys, "oracle", which, "--bound", bound)
+            assert code == 1 and out == "" and err.count("\n") == 1 and "below 1" in err
 
 
 def test_element_file_input(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from forestrep.coefficients import RTensor
 from forestrep.oracles import (
     check_cyclic_forest_lemma,
@@ -12,8 +14,17 @@ from forestrep.oracles import (
     operator_coefficient,
     random_elements,
 )
-from forestrep.thompson import Perm, VElement
-from forestrep.trees import LEAF, Forest, caret, parse_forest, parse_tree
+from forestrep.errors import ContractError
+from forestrep.trees import (
+    LEAF,
+    Forest,
+    caret,
+    enumerate_forests,
+    enumerate_trees,
+    parse_forest,
+    path_words,
+    subrooted_trees,
+)
 
 
 def test_word_injectivity_small():
@@ -33,19 +44,86 @@ def test_cyclic_forest_lemma_small():
     assert report["matches"] >= report["bound"]  # p = q with zero shift always matches
 
 
-def test_term_parity_specific_elements():
-    t = parse_tree("f3 f1 f1")
-    remark = VElement(t, t, Perm((3, 2, 1, 4)))
-    report = check_term_parity(elements=[VElement.identity(), remark])
-    assert report["violations"] == 0
-    # identity contributes its single matched pair, the exchange two more
-    assert report["instances"] == 3
-
-
 def test_term_parity_exhaustive_small():
     report = check_term_parity(max_leaves=4)
     assert report["violations"] == 0
     assert report["instances"] > 0
+
+
+# pairwise references: every pair of forests or trees compared directly
+
+def _cyclic_forest_pairwise(max_leaves):
+    instances = matches = violations = 0
+    for m in range(1, max_leaves + 1):
+        forests = enumerate_forests(m)
+        for p in forests:
+            wp = path_words(p)
+            for q in forests:
+                wq = path_words(q)
+                for c in range(m):
+                    instances += 1
+                    if (wp[-c:] + wp[:-c] if c else wp) != wq:
+                        continue
+                    matches += 1
+                    n = p.root_count
+                    if n != q.root_count or not any(
+                        all(p.trees[j] == q.trees[(j + a) % n] for j in range(n))
+                        for a in range(n)
+                    ):
+                        violations += 1
+    return {
+        "check": "cyclic-forest",
+        "bound": max_leaves,
+        "instances": instances,
+        "matches": matches,
+        "violations": violations,
+    }
+
+
+def _term_parity_pairwise(max_leaves):
+    instances = violations = 0
+    for n in range(1, max_leaves + 1):
+        terms = [
+            [(sorted(e.words), e.inner_leaves) for e in subrooted_trees(t)]
+            for t in enumerate_trees(n)
+        ]
+        for range_terms in terms:
+            for domain_terms in terms:
+                for words_t, inner_t in range_terms:
+                    for words_s, inner_s in domain_terms:
+                        if words_t == words_s:
+                            instances += 1
+                            violations += inner_t != inner_s
+    return {
+        "check": "term-parity",
+        "bound": max_leaves,
+        "instances": instances,
+        "violations": violations,
+    }
+
+
+def test_grouped_oracles_match_pairwise_references():
+    for bound in range(1, 7):
+        assert check_cyclic_forest_lemma(bound) == _cyclic_forest_pairwise(bound)
+        assert check_term_parity(bound) == _term_parity_pairwise(bound)
+
+
+def test_enumerating_oracles_refuse_bounds_up_front():
+    checks = {
+        check_word_injectivity: "290512 trees",
+        check_cyclic_forest_lemma: "1033411 forests",
+        check_term_parity: "290512 trees",
+    }
+    for check, count in checks.items():
+        for bound in (0, -1):
+            with pytest.raises(ContractError, match="below 1"):
+                check(bound)
+        for bound in (13, 10**9):
+            with pytest.raises(ContractError, match=count):
+                check(bound)
+    for samples in (0, -1):
+        with pytest.raises(ContractError, match="below 1"):
+            check_reduction_soundness(samples)
 
 
 def test_reduction_soundness_quick():

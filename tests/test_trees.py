@@ -1,8 +1,11 @@
+import ast
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
+from forestrep import coefficients, oracles, trees
 from forestrep.errors import ContractError, ParseError
 from forestrep.trees import (
     LEAF,
@@ -430,6 +433,58 @@ def test_enumerate_trees_counts():
 def test_enumerate_trees_bound():
     with pytest.raises(ContractError):
         enumerate_trees(13)
+
+
+# recursive references for the enumeration, in the order the loops must keep
+
+def _trees_by_recursion(n):
+    if n == 1:
+        return (LEAF,)
+    return tuple(
+        caret(left, right)
+        for k in range(1, n)
+        for left in _trees_by_recursion(k)
+        for right in _trees_by_recursion(n - k)
+    )
+
+
+def _forest_shapes_by_recursion(m):
+    out = []
+    for k in range(1, m + 1):
+        for first in _trees_by_recursion(k):
+            if k == m:
+                out.append((first,))
+            else:
+                out.extend((first,) + rest for rest in _forest_shapes_by_recursion(m - k))
+    return out
+
+
+def test_enumeration_matches_recursive_order():
+    for n in range(1, 12):
+        expected = _trees_by_recursion(n)
+        got = enumerate_trees(n)
+        assert len(got) == len(expected)
+        assert all(a is b for a, b in zip(got, expected))
+    for m in range(1, 10):
+        expected = _forest_shapes_by_recursion(m)
+        got = enumerate_forests(m)
+        assert len(got) == len(expected)
+        assert all(
+            len(f.trees) == len(shape) and all(a is b for a, b in zip(f.trees, shape))
+            for f, shape in zip(got, expected)
+        )
+
+
+def test_tree_modules_do_not_recurse():
+    for module in (trees, coefficients, oracles):
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.FunctionDef):
+                called = {
+                    call.func.id
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                }
+                assert node.name not in called, f"{module.__name__}.{node.name} recurses"
 
 
 def test_enumerate_forests_counts():
