@@ -216,44 +216,75 @@ def psd_ldlt(matrix) -> GramResult:
     """Decide positive semidefiniteness of a symmetric rational matrix by
     pivoted LDL^T, no tolerances.
 
-    The pivot is the largest remaining diagonal entry, lowest index first.
-    A negative pivot, or a zero pivot alongside a nonzero residual
-    off-diagonal entry, refutes PSD and is returned as the witness.
+    The matrix is scaled to integers by the common denominator of its
+    entries and eliminated fraction-free (Bareiss): after each pivot every
+    remaining entry is the rational Schur-complement entry times the
+    positive integer previous pivot x common denominator, so each update
+    divides exactly by the previous pivot and integer comparisons order the
+    entries as the rationals do.  The pivot is the largest remaining
+    diagonal entry, lowest index first.  A negative pivot, or a zero pivot
+    alongside a nonzero residual off-diagonal entry, refutes PSD and is
+    returned as the witness, with its rational value.
     """
-    work = [[Fraction(v) for v in row] for row in matrix]
-    active = list(range(len(work)))
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ContractError("psd_ldlt: the matrix is not square")
+    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+        raise ContractError("psd_ldlt: the matrix is not symmetric")
+    common = math.lcm(*(v.denominator for row in rows for v in row))
+    work = [[v.numerator * (common // v.denominator) for v in row] for row in rows]
+    active = list(range(n))
+    previous = 1
     while active:
         pivot = max(active, key=lambda i: (work[i][i], -i))
         value = work[pivot][pivot]
+        scale = previous * common
         if value < 0:
-            return GramResult(False, {"kind": "negative_pivot", "index": pivot, "value": value})
+            return GramResult(
+                False, {"kind": "negative_pivot", "index": pivot, "value": Fraction(value, scale)}
+            )
         if value == 0:
             for i in active:
                 for j in active:
                     if work[i][j] != 0:
                         return GramResult(
                             False,
-                            {"kind": "zero_pivot_offdiagonal", "row": i, "col": j, "value": work[i][j]},
+                            {
+                                "kind": "zero_pivot_offdiagonal",
+                                "row": i,
+                                "col": j,
+                                "value": Fraction(work[i][j], scale),
+                            },
                         )
             return GramResult(True, None)
         active.remove(pivot)
-        col = {i: work[i][pivot] for i in active}
-        for i in active:
-            for j in active:
-                work[i][j] -= col[i] * col[j] / value
+        col = work[pivot]
+        # one update per unordered pair, mirrored: the residual stays symmetric
+        for a, i in enumerate(active):
+            row, ci = work[i], col[i]
+            for j in active[a:]:
+                row[j] = work[j][i] = (value * row[j] - ci * col[j]) // previous
+        previous = value
     return GramResult(True, None)
 
 
 def gram_psd_check(elements, alpha) -> GramResult:
-    """Exact PSD verdict for M[i][j] = phi_alpha(g_i^-1 g_j) at a rational alpha."""
+    """Exact PSD verdict for M[i][j] = phi_alpha(g_i^-1 g_j) at a rational alpha.
+
+    Each unordered pair is computed once and mirrored, since
+    phi(g^-1) = phi(g); the diagonal is phi(identity) = 1.
+    """
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise ContractError("gram_psd_check: alpha must lie in [0, 1]")
     elements = list(elements)
-    matrix = [
-        [phi_alpha_eval(multiply(inverse(gi), gj), alpha) for gj in elements]
-        for gi in elements
-    ]
+    n = len(elements)
+    matrix = [[Fraction(1)] * n for _ in range(n)]
+    for i in range(n - 1):
+        inv = inverse(elements[i])
+        for j in range(i + 1, n):
+            matrix[i][j] = matrix[j][i] = phi_alpha_eval(multiply(inv, elements[j]), alpha)
     return psd_ldlt(matrix)
 
 

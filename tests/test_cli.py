@@ -238,6 +238,11 @@ def test_oracle_bounds_refused_up_front(capsys):
         for bound in ("0", "-1"):
             code, out, err = run(capsys, "oracle", which, "--bound", bound)
             assert code == 1 and out == "" and err.count("\n") == 1 and "below 1" in err
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "reduction", "--bound", "1000000000")
+    assert time.perf_counter() - start < 2
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert "samples 1000000000 is over the cap of 25000" in err
 
 
 def test_element_file_input(tmp_path, capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from forestrep.coefficients import (
+    GramResult,
     RTensor,
     farley_matches_phi,
     farley_norm,
@@ -20,7 +21,19 @@ from forestrep.coefficients import (
 from forestrep.errors import ContractError
 from forestrep.oracles import operator_apply, random_elements
 from forestrep.ring import ALPHA, BETA, ONE, RingElem
-from forestrep.thompson import Perm, VElement, family_gn, named_tree
+from forestrep.thompson import (
+    F,
+    T_ONLY,
+    V_ONLY,
+    Perm,
+    VElement,
+    classify,
+    family_gn,
+    family_kn,
+    inverse,
+    multiply,
+    named_tree,
+)
 from forestrep.trees import LEAF, Forest, caret, enumerate_forests, parse_tree
 
 
@@ -221,6 +234,15 @@ def test_phi_alpha_limits():
         assert phi_alpha(g) == phi_alpha(~g)
 
 
+def test_phi_alpha_inverse_symmetric():
+    # gram_psd_check mirrors each entry on this identity; its unit diagonal
+    # rests on test_phi_alpha_identity
+    elements = random_elements(40, 6, seed=13)
+    assert {classify(g) for g in elements} == {F, T_ONLY, V_ONLY}
+    for g in elements + [family_gn(3), family_kn(1)]:
+        assert phi_alpha(inverse(g)) == phi_alpha(g)
+
+
 def test_phi_alpha_eval_contract():
     with pytest.raises(ContractError):
         phi_alpha_eval(VElement.identity(), Fraction(3, 2))
@@ -309,6 +331,84 @@ def test_psd_ldlt_witnesses():
     assert hollow.witness["kind"] == "zero_pivot_offdiagonal"
     assert psd_ldlt([[0, 0], [0, 0]]).is_psd
     assert psd_ldlt([]).is_psd
+    for ragged in ([[1, 2]], [[1], [2, 3]], [[1, 2], [3]]):
+        with pytest.raises(ContractError, match="not square"):
+            psd_ldlt(ragged)
+    # the kernel relies on symmetry: x = (2, -1) gives -2 on [[1, 2], [3, 4]]
+    with pytest.raises(ContractError, match="not symmetric"):
+        psd_ldlt([[1, 2], [3, 4]])
+
+
+def _psd_ldlt_reference(matrix):
+    """The pivoted LDL^T in Fractions: the same pivot rule and witnesses as
+    psd_ldlt, one rational update per residual entry."""
+    work = [[Fraction(v) for v in row] for row in matrix]
+    active = list(range(len(work)))
+    while active:
+        pivot = max(active, key=lambda i: (work[i][i], -i))
+        value = work[pivot][pivot]
+        if value < 0:
+            return GramResult(False, {"kind": "negative_pivot", "index": pivot, "value": value})
+        if value == 0:
+            for i in active:
+                for j in active:
+                    if work[i][j] != 0:
+                        return GramResult(
+                            False,
+                            {"kind": "zero_pivot_offdiagonal", "row": i, "col": j, "value": work[i][j]},
+                        )
+            return GramResult(True, None)
+        active.remove(pivot)
+        col = {i: work[i][pivot] for i in active}
+        for i in active:
+            for j in active:
+                work[i][j] -= col[i] * col[j] / value
+    return GramResult(True, None)
+
+
+def _random_symmetric(rng):
+    """A small symmetric rational matrix and whether it is singular by
+    construction.  Shape 0 is B^T B with B of k <= n rows (PSD, singular when
+    k < n); shape 1 is symmetric with any diagonal; shape 2 has a diagonal
+    in 0..3, which leaves zero pivots beside nonzero residual entries."""
+    n = rng.randint(1, 6)
+    values = [Fraction(k, d) for k in range(-3, 4) for d in (1, 2, 3, 9)]
+    shape = rng.randrange(3)
+    if shape == 0:
+        k = rng.randint(1, n)
+        b = [[rng.choice(values) for _ in range(n)] for _ in range(k)]
+        return [[sum(b[r][i] * b[r][j] for r in range(k)) for j in range(n)] for i in range(n)], k < n
+    diagonal = values if shape == 1 else [Fraction(k) for k in range(4)]
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.choice(diagonal if i == j else values)
+    return m, False
+
+
+def test_psd_ldlt_matches_fraction_reference():
+    from forestrep.coefficients import psd_ldlt
+
+    rng = random.Random(2024)
+    kinds = {"psd": 0, "singular": 0, "negative_pivot": 0, "zero_pivot_offdiagonal": 0}
+    for _ in range(2400):
+        matrix, singular = _random_symmetric(rng)
+        result = psd_ldlt(matrix)
+        assert result == _psd_ldlt_reference(matrix)
+        kinds["singular" if singular else result.witness["kind"] if result.witness else "psd"] += 1
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_gram_matches_reference_on_full_matrix():
+    for seed in (3, 4):
+        elements = random_elements(7, 6, seed=seed)
+        elements.append(elements[2])
+        for alpha in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
+            full = [
+                [phi_alpha_eval(multiply(inverse(gi), gj), alpha) for gj in elements]
+                for gi in elements
+            ]
+            assert gram_psd_check(elements, alpha) == _psd_ldlt_reference(full)
 
 
 def test_gram_alpha_contract():

@@ -4,6 +4,7 @@ import pytest
 
 from forestrep.coefficients import RTensor
 from forestrep.oracles import (
+    REDUCTION_SAMPLE_CAP,
     check_cyclic_forest_lemma,
     check_partition_operator_agreement,
     check_reduction_soundness,
@@ -123,6 +124,10 @@ def test_enumerating_oracles_refuse_bounds_up_front():
                 check(bound)
     for samples in (0, -1):
         with pytest.raises(ContractError, match="below 1"):
+            check_reduction_soundness(samples)
+    for samples in (REDUCTION_SAMPLE_CAP + 1, 10**9):
+        over = f"samples {samples} is over the cap of {REDUCTION_SAMPLE_CAP}"
+        with pytest.raises(ContractError, match=over):
             check_reduction_soundness(samples)
 
 
