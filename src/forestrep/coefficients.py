@@ -141,8 +141,8 @@ def phi_alpha(g: VElement) -> RingElem:
 
     Sums over pairs of prefixes (z of the range tree, r of the domain tree)
     whose residual words match under the stored leaf bijection.  The result
-    is always beta-free; a beta component would be a computation bug and
-    raises.
+    is always beta-free: an odd beta power, whose term is positive on (0, 1)
+    and so cannot cancel, would be a computation bug and raises.
     """
     range_terms = subrooted_trees(g.range)
     domain_terms = subrooted_trees(g.domain)
@@ -155,14 +155,11 @@ def phi_alpha(g: VElement) -> RingElem:
         if hit is not None:
             leaves_r, inner_r = hit
             exponents[(entry.tree.leaf_count + leaves_r - 2, entry.inner_leaves + inner_r)] += 1
-    result = RingElem()
-    for (alpha_exp, beta_exp), count in sorted(exponents.items()):
-        result = result + count * RingElem.term(alpha_exp, beta_exp)
-    if not result.is_beta_free():
+    if any(beta_exp % 2 for _, beta_exp in exponents):
         raise ArithmeticError(
             "phi_alpha: nonzero beta component; matched terms must absorb beta in pairs"
         )
-    return result
+    return RingElem.expand(exponents)
 
 
 def phi_alpha_eval(g: VElement, alpha) -> Fraction:
@@ -222,9 +219,9 @@ def psd_ldlt(matrix) -> GramResult:
     positive integer previous pivot x common denominator, so each update
     divides exactly by the previous pivot and integer comparisons order the
     entries as the rationals do.  The pivot is the largest remaining
-    diagonal entry, lowest index first.  A negative pivot, or a zero pivot
-    alongside a nonzero residual off-diagonal entry, refutes PSD and is
-    returned as the witness, with its rational value.
+    diagonal entry, lowest index first.  A negative pivot (or diagonal entry
+    beside a zero pivot), or a zero pivot alongside a nonzero residual
+    off-diagonal entry, refutes PSD and is the witness, with its rational value.
     """
     rows = [[Fraction(v) for v in row] for row in matrix]
     n = len(rows)
@@ -248,15 +245,12 @@ def psd_ldlt(matrix) -> GramResult:
             for i in active:
                 for j in active:
                     if work[i][j] != 0:
-                        return GramResult(
-                            False,
-                            {
-                                "kind": "zero_pivot_offdiagonal",
-                                "row": i,
-                                "col": j,
-                                "value": Fraction(work[i][j], scale),
-                            },
+                        where = (
+                            {"kind": "negative_pivot", "index": i}
+                            if i == j
+                            else {"kind": "zero_pivot_offdiagonal", "row": i, "col": j}
                         )
+                        return GramResult(False, {**where, "value": Fraction(work[i][j], scale)})
             return GramResult(True, None)
         active.remove(pivot)
         col = work[pivot]

@@ -10,8 +10,8 @@ A polynomial is a tuple of ints, lowest degree first, no trailing zeros.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ContractError
 
@@ -47,20 +47,6 @@ def _pmul(a, b):
 _ONE_MINUS_SQ = (1, 0, -1)  # 1 - alpha^2
 
 
-@lru_cache(maxsize=None)
-def _one_minus_sq_pow(k: int) -> tuple[int, ...]:
-    if k == 0:
-        return (1,)
-    return _pmul(_one_minus_sq_pow(k - 1), _ONE_MINUS_SQ)
-
-
-def _peval(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 class RingElem:
     __slots__ = ("p", "q")
 
@@ -79,11 +65,21 @@ class RingElem:
     @classmethod
     def term(cls, alpha_exp: int, beta_exp: int) -> "RingElem":
         """alpha^i * beta^j in normal form."""
-        mono = (0,) * alpha_exp + (1,)
-        body = _pmul(mono, _one_minus_sq_pow(beta_exp // 2))
-        if beta_exp % 2 == 0:
-            return cls(body)
-        return cls((), body)
+        return cls.expand({(alpha_exp, beta_exp): 1})
+
+    @classmethod
+    def expand(cls, counts) -> "RingElem":
+        """The sum of count * alpha^i * beta^j over the ((i, j), count) items in
+        normal form, each beta^(2k) = (1 - alpha^2)^k expanded binomially."""
+        parts = ([], [])
+        for (i, j), count in counts.items():
+            if i < 0 or j < 0:
+                raise ContractError(f"RingElem: negative exponent in alpha^{i} * beta^{j}")
+            k, part = j // 2, parts[j % 2]
+            part.extend([0] * (i + 2 * k + 1 - len(part)))
+            for r in range(k + 1):
+                part[i + 2 * r] += (-1) ** r * math.comb(k, r) * count
+        return cls(*parts)
 
     def __add__(self, other):
         other = _coerce(other)
@@ -155,10 +151,16 @@ class RingElem:
         return self.p
 
     def eval(self, alpha: Fraction) -> Fraction:
-        """Exact value at a rational alpha; defined only for beta-free elements."""
+        """Exact value at a rational alpha = n/d; defined only for beta-free elements.
+        Horner in integers gives sum c_k n^k d^(deg-k), over d^deg at the end."""
         if self.q:
             raise ContractError("eval: element has a beta component")
-        return _peval(self.p, Fraction(alpha))
+        n, d = Fraction(alpha).as_integer_ratio()
+        top, scale = 0, 1
+        for c in reversed(self.p):
+            top = top * n + c * scale
+            scale *= d
+        return Fraction(top * d, scale)
 
     def __str__(self):
         parts = []

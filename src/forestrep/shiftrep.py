@@ -22,24 +22,25 @@ WINDOW_LEVEL_CAP = 3
 
 
 class SparseVec:
-    """Finitely supported map from integers to rationals; no stored zeros."""
+    """Finitely supported map from integers to ints or Fractions; no stored zeros."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: dict | None = None):
-        self.entries = {k: Fraction(v) for k, v in (entries or {}).items() if v}
+        entries = entries or {}
+        if set(map(type, entries.values())) - {int, Fraction}:
+            raise ContractError("SparseVec: every value must be an int or a Fraction")
+        self.entries = {k: v for k, v in entries.items() if v}
 
     def shift(self, k: int) -> "SparseVec":
         return SparseVec({i + k: v for i, v in self.entries.items()})
 
     def dot(self, other: "SparseVec") -> Fraction:
-        small, big = self.entries, other.entries
-        if len(big) < len(small):
-            small, big = big, small
-        return sum((v * big[i] for i, v in small.items() if i in big), Fraction(0))
+        small, big = sorted((self.entries, other.entries), key=len)
+        return Fraction(sum(v * big[i] for i, v in small.items() if i in big))
 
     def norm_sq(self) -> Fraction:
-        return sum((v * v for v in self.entries.values()), Fraction(0))
+        return Fraction(sum(v * v for v in self.entries.values()))
 
     def __eq__(self, other):
         return isinstance(other, SparseVec) and self.entries == other.entries

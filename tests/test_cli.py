@@ -126,6 +126,14 @@ def test_oversized_prefix_tables_are_refused(capsys):
         assert time.perf_counter() - start < 10
 
 
+def test_oversized_gn_is_refused(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "phi", "--element", "g_99999999999", "--symbolic")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert "g_99999999999 has 199999999998 leaves, over the cap" in err
+    assert time.perf_counter() - start < 10
+
+
 def test_scan_vanishing_csv(tmp_path, capsys):
     target = tmp_path / "scan.csv"
     code, out, _ = run(

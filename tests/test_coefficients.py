@@ -329,6 +329,9 @@ def test_psd_ldlt_witnesses():
     hollow = psd_ldlt([[0, 1], [1, 0]])
     assert not hollow.is_psd
     assert hollow.witness["kind"] == "zero_pivot_offdiagonal"
+    # a negative diagonal entry beside a zero pivot is a negative pivot
+    lopsided = psd_ldlt([[0, 0], [0, -1]])
+    assert lopsided.witness == {"kind": "negative_pivot", "index": 1, "value": -1}
     assert psd_ldlt([[0, 0], [0, 0]]).is_psd
     assert psd_ldlt([]).is_psd
     for ragged in ([[1, 2]], [[1], [2, 3]], [[1, 2], [3]]):
@@ -352,6 +355,9 @@ def _psd_ldlt_reference(matrix):
         if value == 0:
             for i in active:
                 for j in active:
+                    if work[i][j] != 0 and i == j:
+                        witness = {"kind": "negative_pivot", "index": i, "value": work[i][j]}
+                        return GramResult(False, witness)
                     if work[i][j] != 0:
                         return GramResult(
                             False,
@@ -391,7 +397,7 @@ def test_psd_ldlt_matches_fraction_reference():
 
     rng = random.Random(2024)
     kinds = {"psd": 0, "singular": 0, "negative_pivot": 0, "zero_pivot_offdiagonal": 0}
-    for _ in range(2400):
+    for _ in range(6000):
         matrix, singular = _random_symmetric(rng)
         result = psd_ldlt(matrix)
         assert result == _psd_ldlt_reference(matrix)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,16 @@ def test_term_constructor():
     assert RingElem.term(1, 3) == ALPHA * BETA * (ONE - ALPHA * ALPHA)
     assert RingElem.term(3, 2).is_beta_free()  # even beta powers fold away
     assert not RingElem.term(3, 1).is_beta_free()
+    deep = (ONE - ALPHA * ALPHA) ** 1500
+    assert RingElem.term(0, 3000) == deep
+    assert RingElem.term(2, 3001) == ALPHA * ALPHA * BETA * deep
+    assert RingElem.expand({(1, 2): 3, (0, 1): -2, (2, 0): 1, (4, 0): 0}) == (
+        3 * RingElem.term(1, 2) - 2 * BETA + ALPHA * ALPHA
+    )
+    assert RingElem.expand({}) == ZERO
+    for exponents in ((-1, 0), (0, -2)):
+        with pytest.raises(ContractError):
+            RingElem.term(*exponents)
 
 
 def test_arithmetic_identities():
@@ -39,6 +50,25 @@ def test_eval():
     assert poly.eval(Fraction(1)) == 1
     with pytest.raises(ContractError):
         BETA.eval(Fraction(1, 2))
+
+
+def _horner_reference(coeffs, alpha: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * alpha + c
+    return acc
+
+
+def test_eval_matches_fraction_horner():
+    rng = random.Random(11)
+    polys = [()] + [
+        tuple(rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 60))) for _ in range(80)
+    ]
+    for coeffs in polys:
+        poly = RingElem(coeffs)
+        for alpha in (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(3, 4), Fraction(5, 7)):
+            value = poly.eval(alpha)
+            assert type(value) is Fraction and value == _horner_reference(coeffs, alpha)
 
 
 def test_coefficients_serialization():

@@ -57,6 +57,17 @@ def test_sparse_vec_basics():
     assert 2 not in v.entries
     assert v.shift(2).entries == {3: 1, 5: Fraction(1, 2)}
     assert v.dot(v) == 1 + Fraction(1, 4)
+    # values stay as given; dot and norm_sq return Fractions
+    assert type(v.entries[1]) is int and type(v.entries[3]) is Fraction
+    w = SparseVec({0: 2, 1: 3})
+    assert type(w.dot(w.shift(1))) is Fraction and w.dot(w.shift(1)) == 6
+    assert type(w.norm_sq()) is Fraction and w.norm_sq() == 13
+
+
+def test_sparse_vec_refuses_inexact_values():
+    for value in (0.1, 1.0, "1/3", True, False, None):
+        with pytest.raises(ContractError, match="must be an int or a Fraction"):
+            SparseVec({0: 1, 1: value})
 
 
 def test_zeta_window():

@@ -6,6 +6,7 @@ import pytest
 
 from forestrep.errors import ContractError, ParseError
 from forestrep.thompson import (
+    FAMILY_GN_CAP,
     Perm,
     VElement,
     builtin,
@@ -115,6 +116,16 @@ def test_family_gn_shape():
         assert classify(family_gn(n)) == "V_only"
     with pytest.raises(ContractError):
         family_gn(1)
+
+
+def test_family_gn_refused_over_cap():
+    assert family_gn(FAMILY_GN_CAP).leaf_count == 2 * FAMILY_GN_CAP
+    for n in (FAMILY_GN_CAP + 1, 99999999999):
+        message = f"g_{n} has {2 * n} leaves, over the cap of g_{FAMILY_GN_CAP}"
+        with pytest.raises(ContractError, match=message):
+            family_gn(n)
+    with pytest.raises(ContractError, match="over the cap"):
+        parse_element_literal("g_99999999999")
 
 
 def test_reduction_confluent_under_random_order():

@@ -1,11 +1,13 @@
 import ast
+import importlib
 import inspect
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
-from forestrep import coefficients, oracles, trees
+import forestrep
 from forestrep.errors import ContractError, ParseError
 from forestrep.trees import (
     LEAF,
@@ -476,7 +478,9 @@ def test_enumeration_matches_recursive_order():
 
 
 def test_tree_modules_do_not_recurse():
-    for module in (trees, coefficients, oracles):
+    names = [info.name for info in pkgutil.iter_modules(forestrep.__path__)]
+    assert {"trees", "ring", "coefficients", "shiftrep", "oracles", "cli"} <= set(names)
+    for module in [forestrep] + [importlib.import_module(f"forestrep.{name}") for name in names]:
         for node in ast.walk(ast.parse(inspect.getsource(module))):
             if isinstance(node, ast.FunctionDef):
                 called = {
