@@ -138,9 +138,6 @@ class RingElem:
     def __hash__(self):
         return hash((self.p, self.q))
 
-    def is_zero(self) -> bool:
-        return not self.p and not self.q
-
     def is_beta_free(self) -> bool:
         return not self.q
 

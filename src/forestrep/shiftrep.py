@@ -33,7 +33,10 @@ class SparseVec:
         self.entries = {k: v for k, v in entries.items() if v}
 
     def shift(self, k: int) -> "SparseVec":
-        return SparseVec({i + k: v for i, v in self.entries.items()})
+        # a shifted valid vector needs neither the value check nor the zero filter
+        out = object.__new__(SparseVec)
+        out.entries = {i + k: v for i, v in self.entries.items()}
+        return out
 
     def dot(self, other: "SparseVec") -> Fraction:
         small, big = sorted((self.entries, other.entries), key=len)

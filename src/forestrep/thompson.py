@@ -90,8 +90,8 @@ class Perm:
 
     def rotation_offset(self) -> int | None:
         """The c with images[k] = ((k-1+c) mod n)+1, or None if not a rotation."""
-        c = self.images[0] - 1
-        return c if self == Perm.rotation(self.size, c) else None
+        n, c = self.size, self.images[0] - 1
+        return c if all(v == (k + c) % n + 1 for k, v in enumerate(self.images)) else None
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images

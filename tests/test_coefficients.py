@@ -1,11 +1,14 @@
 import itertools
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from forestrep.coefficients import (
     GramResult,
+    _rotation_state_sum,
     RTensor,
     farley_matches_phi,
     farley_norm,
@@ -33,8 +36,18 @@ from forestrep.thompson import (
     inverse,
     multiply,
     named_tree,
+    refine,
 )
-from forestrep.trees import LEAF, Forest, caret, enumerate_forests, parse_tree
+from forestrep.trees import (
+    LEAF,
+    Forest,
+    caret,
+    enumerate_forests,
+    enumerate_trees,
+    graft,
+    parse_tree,
+    subrooted_trees,
+)
 
 
 def remark_element() -> VElement:
@@ -273,6 +286,70 @@ def test_phi_alpha_representative_independent():
         assert phi_alpha(VElement(*raw)) == phi_alpha(g)
 
 
+def _enumerated_phi(domain, range_, perm) -> RingElem:
+    """Reference: pair every prefix of the range with every prefix of the
+    domain whose residual words match under the bijection."""
+    domain_terms = {}
+    for entry in subrooted_trees(domain):
+        domain_terms.setdefault(perm.theta(entry.words), []).append(entry)
+    exponents: Counter = Counter()
+    for z in subrooted_trees(range_):
+        for r in domain_terms.get(z.words, ()):
+            leaves = z.tree.leaf_count + r.tree.leaf_count - 2
+            exponents[(leaves, z.inner_leaves + r.inner_leaves)] += 1
+    return RingElem.expand(exponents)
+
+
+def test_state_sum_matches_enumeration_on_small_rotation_triples():
+    # every (domain, range, rotation) triple, reduced or not
+    for n in range(1, 7):
+        trees = enumerate_trees(n)
+        for range_tree in trees:
+            for domain_tree in trees:
+                for c in range(n):
+                    expected = _enumerated_phi(domain_tree, range_tree, Perm.rotation(n, c))
+                    assert _rotation_state_sum(domain_tree, range_tree, c) == expected
+
+
+def test_state_sum_on_unreduced_triples():
+    # a forest grafted under the domain and carried through a rotation leaves
+    # the element unchanged; its cancelling carets are the matchable ones
+    rng = random.Random(23)
+    pool = [t for n in (1, 2, 3) for t in enumerate_trees(n)]
+    elements = [g for g in random_elements(60, 5, seed=31) if classify(g) != V_ONLY]
+    matched = 0
+    for g in elements * 3:
+        attach = Forest(tuple(rng.choice(pool) for _ in range(g.leaf_count)))
+        raw_range, raw_perm = refine(g.range, g.perm, attach)
+        raw_domain = graft(g.domain, attach)
+        offset = raw_perm.rotation_offset()
+        assert offset is not None
+        value = _rotation_state_sum(raw_domain, raw_range, offset)
+        assert value == _enumerated_phi(raw_domain, raw_range, raw_perm)
+        assert value == phi_alpha(g)
+        # with no matchable caret the sum is alpha^(2n-2) for the raw leaf count
+        # n; every grafted caret makes the triple reducible, and so matchable
+        unreduced = raw_domain.leaf_count > g.leaf_count
+        assert (value != RingElem.term(2 * raw_domain.leaf_count - 2, 0)) == unreduced
+        matched += unreduced
+    assert matched > 0
+
+
+def test_state_sum_matches_enumeration_on_words():
+    elements = [g for g in random_elements(400, 8, seed=5) if classify(g) != V_ONLY]
+    assert {classify(g) for g in elements} == {F, T_ONLY} and len(elements) > 100
+    for g in elements:
+        assert phi_alpha(g) == _enumerated_phi(g.domain, g.range, g.perm)
+
+
+def test_phi_alpha_kn_is_pure_power():
+    # k_n is a reduced F element with 5 * 2^n leaves
+    for n in range(1, 9):
+        start = time.perf_counter()
+        assert phi_alpha(family_kn(n)) == RingElem.term(10 * 2**n - 2, 0)
+        assert time.perf_counter() - start < 1
+
+
 # ---------------------------------------------------------------------------
 # comparison family
 
@@ -433,6 +510,23 @@ def test_vanishing_scan_small():
     for r in rows:
         assert r.max_deviation == 0
     assert rows[3].phi_value == Fraction(1, 64)
+
+
+def test_reduced_rotation_elements_match_reduce_filter():
+    from forestrep.coefficients import reduced_rotation_elements
+
+    def reduced_by_filter(max_leaves):
+        for n in range(1, max_leaves + 1):
+            trees = enumerate_trees(n)
+            for range_tree in trees:
+                for domain_tree in trees:
+                    for c in range(n):
+                        g = VElement(domain_tree, range_tree, Perm.rotation(n, c))
+                        if g.leaf_count == n:
+                            yield g
+
+    for max_leaves in range(1, 7):
+        assert list(reduced_rotation_elements(max_leaves)) == list(reduced_by_filter(max_leaves))
 
 
 def test_vanishing_scan_contract():

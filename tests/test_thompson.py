@@ -70,6 +70,10 @@ def test_perm_basics():
     assert Perm.rotation(3, 1) == p
     assert p.rotation_offset() == 1
     assert Perm((2, 1, 3)).rotation_offset() is None
+    for n in range(1, 6):
+        rotations = {Perm.rotation(n, c): c for c in range(n)}
+        for images in itertools.permutations(range(1, n + 1)):
+            assert Perm(images).rotation_offset() == rotations.get(Perm(images))
     with pytest.raises(ContractError):
         Perm((1, 1, 2))
     with pytest.raises(ContractError):
