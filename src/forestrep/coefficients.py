@@ -3,9 +3,10 @@
 Two computation routes live here.  The generic route contracts a finite
 three-index tensor over the states of a forest (a partition function).  The
 interpolation route gives the coefficient ``phi_alpha``, an integer
-polynomial in alpha: on F and T as one state sum over the range tree, on V
-by expanding the action of each tree on the vacuum basis vector into prefix
-terms and pairing the two expansions.
+polynomial in alpha: on F and T the monomial alpha^(2n - 2) of a reduced
+pair with n leaves (the cyclic-forest lemma), on V by expanding the action of
+each tree on the vacuum basis vector into prefix terms and pairing the two
+expansions.
 """
 
 from __future__ import annotations
@@ -147,16 +148,17 @@ def word_window_tensor(words: Iterable[str]) -> RTensor:
 def phi_alpha(g: VElement) -> RingElem:
     """The diagonal vacuum coefficient of g as an exact polynomial in alpha.
 
-    On F and T (the bijection is a rotation) it is one state sum over the
-    range tree.  On V_only elements it sums over pairs of prefixes (z of the
-    range tree, r of the domain tree) whose residual words match under the
-    stored leaf bijection.  The result is always beta-free: an odd beta power,
-    whose term is positive on (0, 1) and so cannot cancel, would be a
-    computation bug and raises.
+    On F and T (the bijection is a rotation) it is alpha^(2n - 2) for the n
+    leaves of the reduced pair.  On V_only elements it sums over pairs of
+    prefixes (z of the range tree, r of the domain tree) whose residual words
+    match under the stored leaf bijection.  The result is always beta-free:
+    an odd beta power, whose term is positive on (0, 1) and so cannot cancel,
+    would be a computation bug and raises.
     """
-    offset = g.perm.rotation_offset()
-    if offset is not None:
-        return _rotation_state_sum(g.domain, g.range, offset)
+    if g.perm.rotation_offset() is not None:
+        # cyclic-forest lemma: only the whole trees match; any other matched
+        # prefix pair leaves a common caret under aligned leaves, which cancels
+        return RingElem.term(farley_norm(g), 0)
     range_terms = subrooted_trees(g.range)
     domain_terms = subrooted_trees(g.domain)
     lookup = {}
@@ -173,48 +175,6 @@ def phi_alpha(g: VElement) -> RingElem:
             "phi_alpha: nonzero beta component; matched terms must absorb beta in pairs"
         )
     return RingElem.expand(exponents)
-
-
-def _rotation_state_sum(domain: Tree, range_: Tree, offset: int) -> RingElem:
-    """phi_alpha of the triple whose domain leaf k goes to range leaf k + offset
-    (mod the leaf count), reduced or not.
-
-    By the cyclic-forest lemma a matched pair of prefixes covers the two
-    trees by the same subtrees up to the rotation, so the sum runs over the
-    covers of the range tree by matchable nodes: nodes u whose preimage
-    leaves, starting at k = (first leaf of u - offset) mod n, are the leaves
-    of the same tree u in the domain.  With x = alpha^2, a leaf holds P = x,
-    a caret holds P(left) * P(right) plus x * (1 - x) if it is matchable,
-    and phi = P(root) / x.  Both children of a matchable caret are
-    matchable (the domain has them inside its copy of u), so a matchable
-    caret holds x * x + x * (1 - x) = x and every P is a power of x, kept
-    as its exponent.
-    """
-    n = range_.leaf_count
-    domain_nodes = set(_preorder_starts(domain))
-    # reversed preorder visits every node after all of its descendants
-    exponents: list[int] = []
-    for first, node in reversed(_preorder_starts(range_)):
-        if node.is_leaf:
-            exponents.append(1)
-        elif ((first - offset) % n, node) in domain_nodes:
-            exponents[-2:] = [1]
-        else:
-            exponents.append(exponents.pop() + exponents.pop())
-    return RingElem.term(2 * exponents.pop() - 2, 0)
-
-
-def _preorder_starts(t: Tree) -> list[tuple[int, Tree]]:
-    """(first leaf, node) for every node of t, 0-based, in preorder."""
-    out = []
-    stack = [(0, t)]
-    while stack:
-        first, node = stack.pop()
-        out.append((first, node))
-        if not node.is_leaf:
-            stack.append((first + node.left.leaf_count, node.right))
-            stack.append((first, node.left))
-    return out
 
 
 def phi_alpha_eval(g: VElement, alpha) -> Fraction:

@@ -113,10 +113,14 @@ def test_deep_inputs(capsys):
 
 def test_oversized_prefix_tables_are_refused(capsys):
     # prefix tables are built only for V_only elements; F and T take the
-    # state sum, whatever their prefix tables would weigh
+    # closed form alpha^(2n - 2), whatever their prefix tables would weigh
     left = " ".join(["f1"] * 2000)
     right = " ".join(f"f{i}" for i in range(2000, 0, -1))
-    for element, poly in (("k_3", "alpha^78"), (f"({right})/({left})", "alpha^4000")):
+    for element, poly in (
+        ("k_3", "alpha^78"),
+        ("k_8", "alpha^2558"),
+        (f"({right})/({left})", "alpha^4000"),
+    ):
         start = time.perf_counter()
         code, out, err = run(capsys, "phi", "--element", element, "--symbolic")
         assert code == 0 and out == poly + "\n" and err == ""

@@ -8,7 +8,6 @@ import pytest
 
 from forestrep.coefficients import (
     GramResult,
-    _rotation_state_sum,
     RTensor,
     farley_matches_phi,
     farley_norm,
@@ -18,6 +17,7 @@ from forestrep.coefficients import (
     phi_alpha,
     phi_alpha_eval,
     phi_expansion,
+    reduced_rotation_elements,
     vanishing_scan,
     word_window_tensor,
 )
@@ -36,7 +36,6 @@ from forestrep.thompson import (
     inverse,
     multiply,
     named_tree,
-    refine,
 )
 from forestrep.trees import (
     LEAF,
@@ -44,7 +43,6 @@ from forestrep.trees import (
     caret,
     enumerate_forests,
     enumerate_trees,
-    graft,
     parse_tree,
     subrooted_trees,
 )
@@ -300,42 +298,14 @@ def _enumerated_phi(domain, range_, perm) -> RingElem:
     return RingElem.expand(exponents)
 
 
-def test_state_sum_matches_enumeration_on_small_rotation_triples():
-    # every (domain, range, rotation) triple, reduced or not
-    for n in range(1, 7):
-        trees = enumerate_trees(n)
-        for range_tree in trees:
-            for domain_tree in trees:
-                for c in range(n):
-                    expected = _enumerated_phi(domain_tree, range_tree, Perm.rotation(n, c))
-                    assert _rotation_state_sum(domain_tree, range_tree, c) == expected
+def test_phi_alpha_matches_enumeration_on_small_rotation_pairs():
+    elements = list(reduced_rotation_elements(6))
+    assert len(elements) == 6964
+    for g in elements:
+        assert phi_alpha(g) == _enumerated_phi(g.domain, g.range, g.perm)
 
 
-def test_state_sum_on_unreduced_triples():
-    # a forest grafted under the domain and carried through a rotation leaves
-    # the element unchanged; its cancelling carets are the matchable ones
-    rng = random.Random(23)
-    pool = [t for n in (1, 2, 3) for t in enumerate_trees(n)]
-    elements = [g for g in random_elements(60, 5, seed=31) if classify(g) != V_ONLY]
-    matched = 0
-    for g in elements * 3:
-        attach = Forest(tuple(rng.choice(pool) for _ in range(g.leaf_count)))
-        raw_range, raw_perm = refine(g.range, g.perm, attach)
-        raw_domain = graft(g.domain, attach)
-        offset = raw_perm.rotation_offset()
-        assert offset is not None
-        value = _rotation_state_sum(raw_domain, raw_range, offset)
-        assert value == _enumerated_phi(raw_domain, raw_range, raw_perm)
-        assert value == phi_alpha(g)
-        # with no matchable caret the sum is alpha^(2n-2) for the raw leaf count
-        # n; every grafted caret makes the triple reducible, and so matchable
-        unreduced = raw_domain.leaf_count > g.leaf_count
-        assert (value != RingElem.term(2 * raw_domain.leaf_count - 2, 0)) == unreduced
-        matched += unreduced
-    assert matched > 0
-
-
-def test_state_sum_matches_enumeration_on_words():
+def test_phi_alpha_matches_enumeration_on_words():
     elements = [g for g in random_elements(400, 8, seed=5) if classify(g) != V_ONLY]
     assert {classify(g) for g in elements} == {F, T_ONLY} and len(elements) > 100
     for g in elements:
@@ -366,8 +336,6 @@ def test_farley_norm_and_match():
 
 
 def test_farley_matches_on_rotation_pairs():
-    from forestrep.coefficients import reduced_rotation_elements
-
     for g in reduced_rotation_elements(4):
         assert farley_matches_phi(g)
 
@@ -513,8 +481,6 @@ def test_vanishing_scan_small():
 
 
 def test_reduced_rotation_elements_match_reduce_filter():
-    from forestrep.coefficients import reduced_rotation_elements
-
     def reduced_by_filter(max_leaves):
         for n in range(1, max_leaves + 1):
             trees = enumerate_trees(n)
