@@ -212,7 +212,12 @@ def farley_phi(g: VElement, beta) -> FarleyPhi:
 
 def farley_matches_phi(g: VElement) -> bool:
     """Whether phi_alpha(g) equals the pure monomial alpha^(2n-2) as a
-    polynomial, i.e. whether the exponential-decay family sees g the same way."""
+    polynomial, i.e. whether the exponential-decay family sees g the same way.
+
+    On F and T this restates the closed form phi_alpha returns there, so only
+    V_only elements can differ; the closed form itself is checked against
+    prefix-pair enumeration (``_enumerated_phi`` in tests/test_coefficients.py).
+    """
     return phi_alpha(g) == RingElem.term(farley_norm(g), 0)
 
 
@@ -325,7 +330,7 @@ def reduced_rotation_elements(max_leaves: int):
                 cancelling = {(j - k) % n for k in domain_carets for j in range_carets}
                 for c in range(n):
                     if c not in cancelling:
-                        yield VElement(domain_tree, range_tree, rotations[c])
+                        yield VElement._from_reduced(domain_tree, range_tree, rotations[c])
 
 
 def _rotation_triples(max_leaves: int) -> int:
@@ -334,7 +339,8 @@ def _rotation_triples(max_leaves: int) -> int:
     return sum(n * (math.comb(2 * n - 2, n - 1) // n) ** 2 for n in range(1, max_leaves + 1))
 
 
-# the triples at max_leaves = 7, which take about 5 s on a shared 2-vCPU VM;
+# the 133,647 triples screened at max_leaves = 7, of which 74,828 are reduced:
+# `scan-vanishing --max-leaves 7` takes about 4 s on a shared 2-vCPU VM, and
 # each further leaf multiplies the count by about ten
 _SCAN_TRIPLE_CAP = _rotation_triples(7)
 
@@ -344,7 +350,10 @@ def vanishing_scan(alpha, max_leaves: int) -> list[VanishRow]:
 
     For each n the computed value must be exactly alpha^(2n-2); the deviation
     column records the largest absolute difference actually observed, and
-    ``values`` keeps each (element, value) pair in enumeration order.
+    ``values`` keeps each (element, value) pair in enumeration order.  Since
+    phi_alpha returns that closed form on rotation pairs, the deviation
+    restates it and reads 0; the independent check is prefix-pair enumeration
+    (``_enumerated_phi`` in tests/test_coefficients.py).
     """
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
@@ -354,8 +363,8 @@ def vanishing_scan(alpha, max_leaves: int) -> list[VanishRow]:
     triples = _rotation_triples(max_leaves)
     if triples > _SCAN_TRIPLE_CAP:
         raise ContractError(
-            f"vanishing_scan: max_leaves {max_leaves} means {triples} triples to reduce,"
-            f" over the cap of {_SCAN_TRIPLE_CAP}"
+            f"vanishing_scan: max_leaves {max_leaves} means screening {triples} triples"
+            f" of two trees and a rotation, over the cap of {_SCAN_TRIPLE_CAP}"
         )
     per_n: dict[int, list[tuple[VElement, Fraction]]] = {n: [] for n in range(1, max_leaves + 1)}
     for g in reduced_rotation_elements(max_leaves):

@@ -17,8 +17,17 @@ from .errors import ContractError
 from .thompson import VElement, named_tree, refine
 from .trees import Forest, Tree, complete_tree, leaf_cells, left_run, merge_trees, residual_forest
 
-# the highest level whose 2m*8^m window is materialised
-WINDOW_LEVEL_CAP = 3
+# the exact bound (1 - 8^-m)^(4^m), two integers of about 3m*4^m bits, sets what
+# level m costs: printing it takes 0.4 s at m = 7 and 9 s at m = 8 (2-vCPU VM)
+SHIFT_LEVEL_CAP = 7
+
+
+def _check_level(where: str, m: int) -> None:
+    if not 1 <= m <= SHIFT_LEVEL_CAP:
+        # past m = 32 the bit count itself grows long, so it stays a formula
+        bits = f"{3 * m * 4**m:,}" if m <= 32 else f"3*{m}*4^{m}"
+        cost = f"; its exact bound (1 - 8^-m)^(4^m) needs two {bits}-bit integers" if m > 0 else ""
+        raise ContractError(f"{where}: level {m} outside 1..{SHIFT_LEVEL_CAP}{cost}")
 
 
 class SparseVec:
@@ -33,10 +42,7 @@ class SparseVec:
         self.entries = {k: v for k, v in entries.items() if v}
 
     def shift(self, k: int) -> "SparseVec":
-        # a shifted valid vector needs neither the value check nor the zero filter
-        out = object.__new__(SparseVec)
-        out.entries = {i + k: v for i, v in self.entries.items()}
-        return out
+        return SparseVec({i + k: v for i, v in self.entries.items()})
 
     def dot(self, other: "SparseVec") -> Fraction:
         small, big = sorted((self.entries, other.entries), key=len)
@@ -53,10 +59,8 @@ class SparseVec:
 
 
 class UnitVec(NamedTuple):
-    """A unit vector kept rational: the actual vector is vec / sqrt(scale_sq).
-
-    Inner products between shifts of the same UnitVec are exact rationals.
-    """
+    """A unit vector kept rational: the actual vector is vec / sqrt(scale_sq),
+    so inner products between shifts of the same UnitVec are exact rationals."""
 
     vec: SparseVec
     scale_sq: Fraction
@@ -70,36 +74,40 @@ class UnitVec(NamedTuple):
         return cls(v, v.norm_sq())
 
 
-def _as_unit(v) -> UnitVec:
-    if isinstance(v, UnitVec):
+class Indicator:
+    """Normalized indicator of {1, ..., h}, stored as h: shifted by a and b it
+    overlaps itself on max(0, h - |b - a|) points."""
+
+    __slots__ = ("h",)
+
+    def __init__(self, h: int):
+        self.h = h
+
+    def inner_shifts(self, a: int, b: int) -> Fraction:
+        return Fraction(max(0, self.h - abs(b - a)), self.h)
+
+    def __eq__(self, other):
+        return isinstance(other, Indicator) and self.h == other.h
+
+
+def _as_unit(v) -> UnitVec | Indicator:
+    if isinstance(v, (UnitVec, Indicator)):
         return v
     if isinstance(v, SparseVec):
         return UnitVec.from_sparse(v)
-    raise ContractError("expected a UnitVec or SparseVec")
+    raise ContractError("expected an Indicator, a UnitVec or a SparseVec")
 
 
-def window_size(m: int) -> int:
-    return 2 * m * 8**m
-
-
-def zeta(m: int) -> UnitVec:
-    """Normalized indicator of {1, ..., 2m*8^m}, the scale kept symbolic so
-    every reported inner product stays rational."""
-    if m < 1:
-        raise ContractError("zeta: index must be >= 1")
-    if m > WINDOW_LEVEL_CAP:
-        raise ContractError(f"zeta: index {m} exceeds bound {WINDOW_LEVEL_CAP}")
-    h = window_size(m)
-    return UnitVec(SparseVec({i: 1 for i in range(1, h + 1)}), Fraction(h))
+def zeta(m: int) -> Indicator:
+    """The window vector of level m: the normalized indicator of {1, ..., 2m*8^m}."""
+    _check_level("zeta", m)
+    return Indicator(2 * m * 8**m)
 
 
 class LeafSymbol(NamedTuple):
-    """Symbolic leaf component shift^power applied to a carrier.
-
-    ``root`` names the input slot the component descends from when the whole
-    path is made of left turns; otherwise the carrier is the fixed auxiliary
-    vector and ``root`` is None.
-    """
+    """Symbolic leaf component shift^power applied to a carrier: the input of
+    slot ``root`` when the whole path is made of left turns, otherwise the
+    fixed auxiliary vector, with ``root`` None."""
 
     power: int
     root: int | None
@@ -125,20 +133,14 @@ def _resolved_powers(f: Forest, input_powers: Sequence[int]) -> list[int]:
     slot j arrives already shifted by input_powers[j-1]."""
     if len(input_powers) != f.root_count:
         raise ContractError("one input power per root required")
-    powers = []
-    for sym in forest_apply_shift(f):
-        extra = input_powers[sym.root - 1] if sym.root is not None else 0
-        powers.append(sym.power + extra)
-    return powers
+    shifts = (0, *input_powers)  # slots count from 1; 0 stands for the auxiliary vector
+    return [sym.power + shifts[sym.root or 0] for sym in forest_apply_shift(f)]
 
 
 def c_constant(z) -> Fraction:
-    """The scalar by which the two commutator trees pair:
-    <shift z, z>^2 * <z, shift^2 z>.
-
-    This is the closed form of the leaf-by-leaf pairing of trees q and a,
-    i.e. of kn_coefficient(0, [z], z).
-    """
+    """<shift z, z>^2 * <z, shift^2 z>, the scalar by which the two commutator
+    trees pair: the closed form of their leaf-by-leaf pairing, which is
+    kn_coefficient(0, [z], z)."""
     z = _as_unit(z)
     return z.inner_shifts(1, 0) ** 2 * z.inner_shifts(0, 2)
 
@@ -157,7 +159,7 @@ def kn_coefficient(n: int, xi: Sequence, zeta_vec) -> Fraction:
     elementary tensor with the given 2^n slot vectors.
 
     Computed by pairing the two symbolic leaf expansions of trees q and a
-    with exact sparse inner products; equals C^(2^n) times the product of
+    with exact shifted inner products; equals C^(2^n) times the product of
     the slot norms, with C = c_constant(zeta_vec).
     """
     if n < 0:
@@ -185,9 +187,7 @@ def kn_coefficient(n: int, xi: Sequence, zeta_vec) -> Fraction:
 def _overlap(g: VElement, m: int) -> tuple[Fraction, Tree]:
     """The overlap <pi(g) xi_m, xi_m> and g's range tree refined so that its
     domain contains the level-m tree."""
-    if m < 1 or m > WINDOW_LEVEL_CAP:
-        raise ContractError(f"almost_invariance: level {m} outside 1..{WINDOW_LEVEL_CAP}")
-    z = zeta(m)
+    _check_level("almost_invariance", m)
     level = complete_tree(m)
     slots = 2**m
 
@@ -203,7 +203,7 @@ def _overlap(g: VElement, m: int) -> tuple[Fraction, Tree]:
     w2 = merge_trees(range_tree, level)
     left = _resolved_powers(residual_forest(w2, range_tree), powers_range)
     right = _resolved_powers(residual_forest(w2, level), [0] * slots)
-    return _pairing(z, zip(left, right)), range_tree
+    return _pairing(zeta(m), zip(left, right)), range_tree
 
 
 def almost_invariance(g: VElement, m: int) -> Fraction:
@@ -211,14 +211,14 @@ def almost_invariance(g: VElement, m: int) -> Fraction:
     (the all-equal elementary tensor over the complete tree with 2^m leaves).
 
     Both sides are rewritten over a common refinement tree; every component
-    is then a shift power of the same window vector, so the overlap is the
-    product of rational shifted inner products.
-    """
+    is then a shift power of zeta(m), so the overlap is a product of its
+    rational shifted inner products."""
     return _overlap(g, m)[0]
 
 
 def invariance_bound(m: int) -> Fraction:
     """(1 - 8^-m)^(4^m), the guaranteed lower bound at level m."""
+    _check_level("invariance_bound", m)
     return Fraction(8**m - 1, 8**m) ** (4**m)
 
 

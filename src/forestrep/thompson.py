@@ -158,6 +158,14 @@ class VElement:
         self.perm = perm
 
     @classmethod
+    def _from_reduced(cls, domain: Tree, range_: Tree, perm: Perm) -> "VElement":
+        """The element of a triple already known to be valid and reduced,
+        taken as it is: neither checked nor reduced again."""
+        g = object.__new__(cls)
+        g.domain, g.range, g.perm = domain, range_, perm
+        return g
+
+    @classmethod
     def identity(cls) -> "VElement":
         return cls(LEAF, LEAF)
 
@@ -236,7 +244,8 @@ def multiply(g: VElement, h: VElement) -> VElement:
 
 
 def inverse(g: VElement) -> VElement:
-    return VElement(g.range, g.domain, g.perm.inverse())
+    # swapping the trees of a reduced pair leaves no caret to cancel
+    return VElement._from_reduced(g.range, g.domain, g.perm.inverse())
 
 
 def classify(g: VElement) -> str:

@@ -5,8 +5,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 from forestrep.cli import SWEEP_FIELDS, main
-from forestrep.shiftrep import almost_invariance
-from forestrep.thompson import family_kn, format_element_literal, parse_element_literal
+from forestrep.shiftrep import almost_invariance, invariance_bound
+from forestrep.thompson import builtin, family_kn, format_element_literal, parse_element_literal
 
 
 REMARK = "(f3 f1 f1)/(f3 f1 f1)~[3,2,1,4]"
@@ -225,6 +225,24 @@ def test_kazhdan_almost_invariant(capsys):
     row = out.strip().splitlines()[1].split(",")
     assert row[1] == "225/256"
     assert row[3] == "True"
+
+
+def test_kazhdan_level_cap(capsys):
+    # level 8 is refused up front with the size of its exact bound
+    for argv in (["kn", "--n", "2"], ["almost-invariant", "--element", "k"]):
+        code, out, err = run(capsys, "kazhdan", *argv, "--m", "8")
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert "outside 1..7" in err and "1,572,864-bit" in err
+    start = time.perf_counter()
+    code, out, err = run(capsys, "kazhdan", "almost-invariant", "--element", "k", "--m", "7", "--json")
+    assert code == 0 and out.count("\n") == 1 and err == ""
+    assert time.perf_counter() - start < 10
+    payload = json.loads(out)
+    assert payload["m"] == 7 and payload["satisfied"] is True
+    value, bound = (
+        Fraction(*(int(Decimal(part)) for part in payload[key].split("/"))) for key in ("coefficient", "bound")
+    )
+    assert value == almost_invariance(builtin("k"), 7) and bound == invariance_bound(7) < value < 1
 
 
 def test_oracle_json(capsys):

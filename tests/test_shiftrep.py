@@ -6,6 +6,8 @@ import pytest
 from forestrep.errors import ContractError
 from forestrep.oracles import random_elements
 from forestrep.shiftrep import (
+    SHIFT_LEVEL_CAP,
+    Indicator,
     LeafSymbol,
     SparseVec,
     UnitVec,
@@ -15,13 +17,13 @@ from forestrep.shiftrep import (
     forest_apply_shift,
     invariance_bound,
     kn_coefficient,
-    window_size,
     zeta,
     _resolved_powers,
 )
 from forestrep.thompson import (
     Perm,
     VElement,
+    builtin,
     named_tree,
     refine,
 )
@@ -49,6 +51,11 @@ def random_unit(rng: random.Random) -> UnitVec:
     return UnitVec.from_sparse(SparseVec(entries))
 
 
+def materialised_window(h: int) -> UnitVec:
+    """The indicator of {1, ..., h} written out entry by entry."""
+    return UnitVec.from_sparse(SparseVec({i: 1 for i in range(1, h + 1)}))
+
+
 # ---------------------------------------------------------------------------
 # vectors
 
@@ -71,21 +78,28 @@ def test_sparse_vec_refuses_inexact_values():
 
 
 def test_zeta_window():
-    z = zeta(1)
-    assert window_size(1) == 16
-    assert set(z.vec.entries) == set(range(1, 17))
-    assert z.inner_shifts(0, 0) == 1
-    assert z.scale_sq == 16
-    with pytest.raises(ContractError):
-        zeta(0)
-    with pytest.raises(ContractError):
-        zeta(4)
+    # zeta stores only its window length; its inner products are those of
+    # the window written out as 2m*8^m ones
+    for m in (1, 2, 3):
+        z = zeta(m)
+        assert z == Indicator(2 * m * 8**m) and z.h == 2 * m * 8**m
+        window = materialised_window(z.h)
+        for lag in range(-40, 41):
+            assert z.inner_shifts(0, lag) == window.inner_shifts(0, lag)
+            assert z.inner_shifts(lag, 3) == window.inner_shifts(lag, 3)
+    assert zeta(1).inner_shifts(0, 0) == 1
+    # equal by type and length, not as a tuple
+    assert zeta(1) != zeta(2) and zeta(1) != (16,) and zeta(1) != 16
+    assert zeta(SHIFT_LEVEL_CAP).h == 2 * SHIFT_LEVEL_CAP * 8**SHIFT_LEVEL_CAP
+    for m in (0, -1, SHIFT_LEVEL_CAP + 1):
+        with pytest.raises(ContractError):
+            zeta(m)
 
 
 def test_overlap_formula_against_direct_inner():
-    for m in (1, 2):
+    for m in range(1, SHIFT_LEVEL_CAP + 1):
         z = zeta(m)
-        h = window_size(m)
+        h = 2 * m * 8**m
         for a in range(0, 2 * m + 2):
             for b in range(0, 2 * m + 2):
                 expected = Fraction(max(h - abs(a - b), 0), h)
@@ -183,20 +197,20 @@ def test_kn_coefficient_random_unit_components():
 
 def test_kn_coefficient_pairs_equal_slots_once(monkeypatch):
     calls = []
-    original = UnitVec.inner_shifts
+    z = zeta(1)
+    original = type(z).inner_shifts
 
     def counted(self, a, b):
         calls.append((a, b))
         return original(self, a, b)
 
-    monkeypatch.setattr(UnitVec, "inner_shifts", counted)
-    z = zeta(1)
+    monkeypatch.setattr(type(z), "inner_shifts", counted)
     counts = []
     for n in range(6):
         calls.clear()
         assert kn_coefficient(n, [z] * 2**n, z) == Fraction(1575, 2048) ** (2**n)
         counts.append(len(calls))
-    assert len(set(counts)) == 1
+    assert counts[0] > 0 and len(set(counts)) == 1
     # equal slots given as distinct objects group too
     calls.clear()
     assert kn_coefficient(2, [zeta(1) for _ in range(4)], z) == Fraction(1575, 2048) ** 4
@@ -255,10 +269,29 @@ def test_almost_invariance_monotone_through_levels():
 
 
 def test_almost_invariance_level_contract():
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="outside 1..7$"):
         almost_invariance(x0(), 0)
-    with pytest.raises(ContractError):
-        almost_invariance(x0(), 9)
+    # a level past the cap is refused with the size of its exact bound
+    for refuse in (almost_invariance_report, almost_invariance):
+        with pytest.raises(ContractError, match="level 8 outside 1..7; .* two 1,572,864-bit integers"):
+            refuse(x0(), 8)
+    for m in (0, 8):
+        with pytest.raises(ContractError):
+            invariance_bound(m)
+    with pytest.raises(ContractError, match=r"3\*1000000\*4\^1000000-bit"):
+        zeta(10**6)
+
+
+def test_almost_invariance_report_through_level_cap():
+    # the overlap stays between the bound and 1 up to the cap; the depth condition
+    # holds once the level tree is as deep as g's trees
+    for name in ("g", "h", "k"):
+        g = builtin(name)
+        for m in range(1, SHIFT_LEVEL_CAP + 1):
+            report = almost_invariance_report(g, m)
+            assert report["satisfied"] and report["coefficient"] < 1
+            if m >= 4:
+                assert report["within_depth"]
 
 
 def _pair_through(g: VElement, m: int, deep_level: int) -> Fraction:

@@ -223,6 +223,16 @@ def test_group_axioms_random():
         assert ~(~g) == g
 
 
+def test_inverse_is_already_reduced():
+    # inverse takes the swapped triple as it is; reducing it again changes nothing
+    rng = random.Random(29)
+    for _ in range(200):
+        g = random_product(rng, rng.randint(1, 8))
+        swapped = (g.range, g.domain, g.perm.inverse())
+        assert _reduce(*swapped) == swapped
+        assert ~g == VElement(*swapped)
+
+
 def test_commutator_identity():
     g, h, k = builtin("g"), builtin("h"), builtin("k")
     assert g * h * ~g * ~h == k
