@@ -11,7 +11,7 @@ import csv
 import json
 import os
 import sys
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 
 from .coefficients import (
@@ -90,11 +90,40 @@ def _load_elements_file(path: str) -> list[VElement]:
     return [parse_element_literal(line) for line in text.splitlines() if line.strip()]
 
 
+# an int below 2^_CHUNK_BITS has at most 1,234 digits, well within str()'s limit
+_CHUNK_BITS = 4096
+
+
+def _int_text(n: int) -> str:
+    """The decimal digits of an int of any size.
+
+    str(int) refuses past 4300 digits and Decimal(int) takes time quadratic
+    in the length.  So the int is cut into _CHUNK_BITS-bit chunks, each
+    converted on its own, and adjacent chunks are joined pairwise, level by
+    level, as low + high * 2^width in exact decimal arithmetic, the width
+    doubling at each level.
+    """
+    if -(1 << _CHUNK_BITS) < n < 1 << _CHUNK_BITS:
+        return str(n)
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    size = _CHUNK_BITS // 8
+    data = n.to_bytes((n.bit_length() + 7) // 8, "little")
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        parts = [Decimal(int.from_bytes(data[k : k + size], "little")) for k in range(0, len(data), size)]
+        power = Decimal(1 << _CHUNK_BITS)
+        while True:
+            if len(parts) % 2:
+                parts.append(Decimal(0))
+            parts = [low + high * power for low, high in zip(parts[::2], parts[1::2])]
+            if len(parts) == 1:
+                return sign + str(parts[0])
+            power *= power
+
+
 def _show_fraction(x: Fraction, as_float: bool = False) -> str:
     if as_float:
         return repr(float(x))
-    # str(int) refuses over 4300 digits; Decimal prints an int at any length
-    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
 
 
 def _emit_rows(rows, fieldnames, csv_path, out):

@@ -286,20 +286,26 @@ def psd_ldlt(matrix) -> GramResult:
 def gram_psd_check(elements, alpha) -> GramResult:
     """Exact PSD verdict for M[i][j] = phi_alpha(g_i^-1 g_j) at a rational alpha.
 
-    Each unordered pair is computed once and mirrored, since
-    phi(g^-1) = phi(g); the diagonal is phi(identity) = 1.
+    Each unordered pair of distinct elements is computed once and mirrored,
+    since phi(g^-1) = phi(g); entries between equal elements, the diagonal
+    included, are phi(identity) = 1.  A repeated element takes the row and
+    column of its first occurrence.
     """
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise ContractError("gram_psd_check: alpha must lie in [0, 1]")
     elements = list(elements)
-    n = len(elements)
-    matrix = [[Fraction(1)] * n for _ in range(n)]
-    for i in range(n - 1):
-        inv = inverse(elements[i])
-        for j in range(i + 1, n):
-            matrix[i][j] = matrix[j][i] = phi_alpha_eval(multiply(inv, elements[j]), alpha)
-    return psd_ldlt(matrix)
+    # slot[i]: the position of element i among the distinct elements
+    slots: dict = {}
+    slot = [slots.setdefault(g, len(slots)) for g in elements]
+    distinct = list(slots)
+    m = len(distinct)
+    core = [[Fraction(1)] * m for _ in range(m)]
+    for a in range(m - 1):
+        inv = inverse(distinct[a])
+        for b in range(a + 1, m):
+            core[a][b] = core[b][a] = phi_alpha(multiply(inv, distinct[b])).eval(alpha)
+    return psd_ldlt([[core[a][b] for b in slot] for a in slot])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,13 @@ An element is stored as a canonical reduced triple (domain tree, range tree,
 leaf bijection): leaf k of the domain partition is sent affinely onto leaf
 ``perm(k)`` of the range partition.  Reduction cancels matched carets, which
 is confluent, so equality of elements is structural equality of triples.
+
+Both the constructor and ``multiply`` work on leaf cells, the (index, depth)
+of each leaf's dyadic interval, and share one reduction kernel, ``_reduce``.
+A product is written cell by cell from the merge of the two inner trees and
+never builds its unreduced tree pair.  ``refine``, ``inflate`` and ``graft``
+carry a forest through a bijection as trees; the shift representation and
+the oracles use them.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .errors import ContractError, ParseError
 from .trees import (
@@ -25,7 +33,6 @@ from .trees import (
     leaf_cells,
     merge_trees,
     parse_tree,
-    residual_forest,
     tree_from_depths,
 )
 
@@ -41,7 +48,8 @@ FAMILY_GN_CAP = 10_000
 
 
 class Perm:
-    """Permutation of {1..n}, stored as the image sequence."""
+    """Permutation of {1..n}, stored as the image sequence and, zero-based,
+    the inverse sequence."""
 
     __slots__ = ("images", "_inv")
 
@@ -53,10 +61,16 @@ class Perm:
         if sorted(images) != list(range(1, n + 1)):
             raise ContractError(f"Perm: {images} is not a bijection of 1..{n}")
         self.images = images
-        inv = [0] * n
-        for k, v in enumerate(images, 1):
-            inv[v - 1] = k
-        self._inv = tuple(inv)
+        self._inv = _inverse_index(images)
+
+    @classmethod
+    def _trusted(cls, images: tuple) -> "Perm":
+        """The permutation of an image tuple already known to be a bijection
+        of 1..n, taken as it is."""
+        p = object.__new__(cls)
+        p.images = images
+        p._inv = _inverse_index(images)
+        return p
 
     @classmethod
     def identity(cls, n: int) -> "Perm":
@@ -74,16 +88,19 @@ class Perm:
         return self.images[k - 1]
 
     def inv(self, k: int) -> int:
-        return self._inv[k - 1]
+        return self._inv[k - 1] + 1
 
     def inverse(self) -> "Perm":
-        return Perm(self._inv)
+        p = object.__new__(Perm)
+        p.images = tuple(map((1).__add__, self._inv))
+        p._inv = tuple(map((-1).__add__, self.images))
+        return p
 
     def theta(self, seq):
         """Rearrange a sequence: slot i of the result is seq[inverse(i)]."""
-        if len(seq) != self.size:
+        if len(seq) != len(self._inv):
             raise ContractError("Perm.theta: length mismatch")
-        return tuple(seq[self._inv[i] - 1] for i in range(self.size))
+        return tuple(map(seq.__getitem__, self._inv))
 
     def is_identity(self) -> bool:
         return all(v == k for k, v in enumerate(self.images, 1))
@@ -101,6 +118,15 @@ class Perm:
 
     def __repr__(self):
         return f"Perm({list(self.images)})"
+
+
+def _inverse_index(images: tuple) -> tuple:
+    """Zero-based inverse of a bijection of 1..n: slot v-1 holds k-1 where
+    images[k-1] = v."""
+    inv = [0] * len(images)
+    for k, v in enumerate(images):
+        inv[v - 1] = k
+    return tuple(inv)
 
 
 def inflate(perm: Perm, sizes) -> Perm:
@@ -152,10 +178,8 @@ class VElement:
             raise ContractError("VElement: domain and range must have equal leaf counts")
         if perm.size != domain.leaf_count:
             raise ContractError("VElement: bijection must act on the leaves")
-        domain, range_, perm = _reduce(domain, range_, perm)
-        self.domain = domain
-        self.range = range_
-        self.perm = perm
+        reduced = _reduce(leaf_cells(domain), leaf_cells(range_), perm.images)
+        self.domain, self.range, self.perm = reduced or (domain, range_, perm)
 
     @classmethod
     def _from_reduced(cls, domain: Tree, range_: Tree, perm: Perm) -> "VElement":
@@ -198,18 +222,17 @@ class VElement:
         return f"VElement({format_element_literal(self)!r})"
 
 
-def _reduce(domain: Tree, range_: Tree, perm: Perm):
-    """Cancel matched carets until none remain.
+def _reduce(domain_cells, range_cells, images):
+    """Cancel matched carets until none remain, on leaf cells.
 
-    The pairs (domain cell k, range cell perm(k)) are pushed in domain order.
-    The top two merge into their parent cells while the domain cells and the
-    range cells are both left and right siblings.  A cancellation only
-    exposes the parent caret, so one pass finds them all; the trees and the
-    bijection are rebuilt once, and only if something cancelled.
+    The pairs (domain cell k, range cell images[k-1]) are pushed in domain
+    order.  The top two merge into their parent cells while the domain cells
+    and the range cells are both left and right siblings.  A cancellation
+    only exposes the parent caret, so one pass finds them all.  Returns the
+    reduced (domain, range, perm), built once, or None when nothing cancels.
     """
-    range_cells = leaf_cells(range_)
     stack: list[tuple[int, int, int, int, int]] = []
-    for (di, dd), j in zip(leaf_cells(domain), perm.images):
+    for (di, dd), j in zip(domain_cells, images):
         ri, rd = range_cells[j - 1]
         while stack:
             pi, pd, pri, prd, pj = stack[-1]
@@ -218,29 +241,84 @@ def _reduce(domain: Tree, range_: Tree, perm: Perm):
             stack.pop()
             di, dd, ri, rd, j = pi >> 1, dd - 1, pri >> 1, rd - 1, pj
         stack.append((di, dd, ri, rd, j))
-    if len(stack) == perm.size:
-        return domain, range_, perm
+    if len(stack) == len(images):
+        return None
     # a surviving range cell starts at its first original range leaf j, so
     # sorting by j puts the range cells in leaf order
     order = sorted(range(len(stack)), key=lambda k: stack[k][4])
-    images = [0] * len(stack)
+    reduced_images = [0] * len(stack)
     for new_j, k in enumerate(order, 1):
-        images[k] = new_j
+        reduced_images[k] = new_j
     return (
         tree_from_depths([cell[1] for cell in stack]),
         tree_from_depths([stack[k][3] for k in order]),
-        Perm(images),
+        Perm._trusted(tuple(reduced_images)),
     )
 
 
+def _moved_below(w_cells, cells, onto):
+    """For each cell (c, e) of a prefix of the tree whose leaf cells are
+    w_cells, the leaf cells below it moved into the cell onto[k] = (c2, e2):
+    leaf cell (i, d) at offset i - c * 2^(d-e) inside (c, e) goes to the same
+    offset inside (c2, e2)."""
+    out = []
+    below = iter(w_cells)
+    for (c, e), (c2, e2) in zip(cells, onto):
+        group = []
+        shift, lift, end = c2 - c, e2 - e, c + 1
+        for i, d in below:
+            r = d - e
+            group.append((i + (shift << r), d + lift))
+            # the last leaf below (c, e) ends where it ends
+            if i + 1 == end << r:
+                break
+        out.append(group)
+    return out
+
+
 def multiply(g: VElement, h: VElement) -> VElement:
-    """Group product; (g*h) acts as g after h on [0, 1)."""
-    w = merge_trees(g.domain, h.range)
-    new_range, up = refine(g.range, g.perm, residual_forest(w, g.domain))
-    new_domain, down = refine(h.domain, h.perm.inverse(), residual_forest(w, h.range))
-    # down maps the refined range of h back to its domain, so the product
-    # sends domain leaf k to up(down.inv(k))
-    return VElement(new_domain, new_range, Perm(up.images[j - 1] for j in down._inv))
+    """Group product; (g*h) acts as g after h on [0, 1).
+
+    Both g's domain and h's range are prefixes of their merge W.  Each
+    product domain leaf is a leaf of W below some leaf c of h's range, moved
+    under the h domain leaf sent to c; each product range leaf is a leaf of W
+    below some leaf b of g's domain, moved under the g range leaf b is sent
+    to.  A W leaf goes from the one to the other, so the product's leaf cells
+    and images are written straight from the cells of W and reduced once.
+    """
+    w_cells = leaf_cells(merge_trees(g.domain, h.range))
+    # per g domain leaf b, its W leaves as product range cells; per h range
+    # leaf c, its W leaves as product domain cells
+    g_range = leaf_cells(g.range)
+    under_g = _moved_below(w_cells, leaf_cells(g.domain), [g_range[a - 1] for a in g.perm.images])
+    under_h = _moved_below(w_cells, leaf_cells(h.range), h.perm.theta(leaf_cells(h.domain)))
+
+    # the product range lists g's range leaves in order; offsets[a - 1]
+    # numbers the first product range leaf below g's range leaf a
+    range_cells = []
+    offsets = []
+    for b in g.perm._inv:
+        offsets.append(len(range_cells) + 1)
+        range_cells += under_g[b]
+    # the product range leaf of each W leaf, in W order, then grouped by the
+    # h range leaf above it
+    targets = []
+    for group, a in zip(under_g, g.perm.images):
+        first = offsets[a - 1]
+        targets += range(first, first + len(group))
+    targets = iter(targets)
+    targets_h = [list(islice(targets, len(group))) for group in under_h]
+
+    domain_cells, images = [], []
+    for j in h.perm.images:
+        domain_cells += under_h[j - 1]
+        images += targets_h[j - 1]
+    reduced = _reduce(domain_cells, range_cells, images) or (
+        tree_from_depths([d for _, d in domain_cells]),
+        tree_from_depths([d for _, d in range_cells]),
+        Perm._trusted(tuple(images)),
+    )
+    return VElement._from_reduced(*reduced)
 
 
 def inverse(g: VElement) -> VElement:

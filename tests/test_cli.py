@@ -1,10 +1,11 @@
 import csv
 import json
+import random
 import time
 from decimal import Decimal
 from fractions import Fraction
 
-from forestrep.cli import SWEEP_FIELDS, main
+from forestrep.cli import SWEEP_FIELDS, _int_text, main
 from forestrep.shiftrep import almost_invariance, invariance_bound
 from forestrep.thompson import builtin, family_kn, format_element_literal, parse_element_literal
 
@@ -243,6 +244,18 @@ def test_kazhdan_level_cap(capsys):
         Fraction(*(int(Decimal(part)) for part in payload[key].split("/"))) for key in ("coefficient", "bound")
     )
     assert value == almost_invariance(builtin("k"), 7) and bound == invariance_bound(7) < value < 1
+
+
+def test_int_text_matches_decimal():
+    # str(int) refuses past 4300 digits; _int_text must print what Decimal prints
+    rng = random.Random(7)
+    cases = [0, 1, -1, 2**4095, 2**4096 - 1, 2**4096, -(2**4096), 2**8192 + 1, 2**12288 - 1]
+    for digits in (4299, 4300, 4301, 9000):
+        cases += [10**digits - 1, 10**digits, -(10**digits) - 7, rng.randrange(10**digits)]
+    cases += [rng.getrandbits(bits) for bits in (4097, 14_000, 14_300, 50_000, 100_003)]
+    cases.append((2**21 - 1) ** 16384)  # the numerator of the level-7 bound
+    for n in cases:
+        assert _int_text(n) == str(Decimal(n))
 
 
 def test_oracle_json(capsys):

@@ -450,16 +450,30 @@ def test_psd_ldlt_matches_fraction_reference():
     assert min(kinds.values()) >= 100, kinds
 
 
-def test_gram_matches_reference_on_full_matrix():
+def test_gram_matches_reference_on_full_matrix(monkeypatch):
+    import forestrep.coefficients as coefficients
+
+    products = []
+
+    def counted(g, h):
+        products.append((g, h))
+        return multiply(g, h)
+
+    monkeypatch.setattr(coefficients, "multiply", counted)
     for seed in (3, 4):
         elements = random_elements(7, 6, seed=seed)
         elements.append(elements[2])
+        distinct = len(set(elements))
+        assert distinct == 7
         for alpha in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
             full = [
                 [phi_alpha_eval(multiply(inverse(gi), gj), alpha) for gj in elements]
                 for gi in elements
             ]
+            products.clear()
             assert gram_psd_check(elements, alpha) == _psd_ldlt_reference(full)
+            # one product per unordered pair of distinct elements
+            assert len(products) == distinct * (distinct - 1) // 2
 
 
 def test_gram_alpha_contract():

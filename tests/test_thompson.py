@@ -37,7 +37,9 @@ from forestrep.trees import (
     enumerate_trees,
     graft,
     leaf_cells,
+    merge_trees,
     parse_tree,
+    residual_forest,
     tree_from_splits,
 )
 
@@ -48,6 +50,12 @@ def x0() -> VElement:
 
 def rotation2() -> VElement:
     return VElement(caret(LEAF, LEAF), caret(LEAF, LEAF), Perm((2, 1)))
+
+
+def _reduced(domain, range_, perm):
+    """The reduced triple, through the constructor's cell-level kernel."""
+    g = VElement(domain, range_, perm)
+    return g.domain, g.range, g.perm
 
 
 def random_product(rng, length):
@@ -139,7 +147,7 @@ def test_reduction_confluent_under_random_order():
         g = random_product(rng, 4)
         attach = Forest(tuple(rng.choice(pool) for _ in range(g.leaf_count)))
         rng_tree, perm = refine(g.range, g.perm, attach)
-        assert _reduce(graft(g.domain, attach), rng_tree, perm) == (g.domain, g.range, g.perm)
+        assert _reduced(graft(g.domain, attach), rng_tree, perm) == (g.domain, g.range, g.perm)
 
 
 def _reduce_by_rescan(domain, range_, perm):
@@ -173,7 +181,7 @@ def test_reduction_matches_rescan_reference():
             for t in trees:
                 for images in itertools.permutations(range(1, n + 1)):
                     perm = Perm(images)
-                    assert _reduce(s, t, perm) == _reduce_by_rescan(s, t, perm)
+                    assert _reduced(s, t, perm) == _reduce_by_rescan(s, t, perm)
                     triples += 1
     assert triples == 627
 
@@ -190,12 +198,35 @@ def test_reduction_matches_rescan_reference():
             perm = Perm(rng.sample(range(1, n + 1), n))
         s = _random_tree(rng, n)
         t = s if rng.random() < 0.3 else _random_tree(rng, n)
-        assert _reduce(s, t, perm) == _reduce_by_rescan(s, t, perm)
+        assert _reduced(s, t, perm) == _reduce_by_rescan(s, t, perm)
         # graft up to three leaves under each domain leaf, carried through perm
         attach = Forest(tuple(rng.choice(pool) for _ in range(n)))
         raw_range, raw_perm = refine(t, perm, attach)
         raw = (graft(s, attach), raw_range, raw_perm)
-        assert _reduce(*raw) == _reduce_by_rescan(*raw)
+        assert _reduced(*raw) == _reduce_by_rescan(*raw)
+
+
+def _multiply_by_refinement(g, h):
+    """Reference product: graft the residual forests of the merged tree under
+    h's domain and g's range, carry them through the bijections, and reduce
+    the refined triple."""
+    w = merge_trees(g.domain, h.range)
+    new_range, up = refine(g.range, g.perm, residual_forest(w, g.domain))
+    new_domain, down = refine(h.domain, h.perm.inverse(), residual_forest(w, h.range))
+    # down maps the refined range of h back to its domain, so the product
+    # sends domain leaf k to up(down.inv(k))
+    images = [up(down.inv(k)) for k in range(1, down.size + 1)]
+    return VElement(new_domain, new_range, Perm(images))
+
+
+def _random_element(rng, n, kind):
+    images = list(range(1, n + 1))
+    if kind == "T":
+        c = rng.randrange(1, n)
+        images = images[c:] + images[:c]
+    elif kind == "V":
+        rng.shuffle(images)
+    return VElement(_random_tree(rng, n), _random_tree(rng, n), Perm(images))
 
 
 def test_deep_inputs_reduce_without_recursion():
@@ -206,6 +237,13 @@ def test_deep_inputs_reduce_without_recursion():
     g = family_gn(1200)
     assert g.leaf_count == 2400
     assert multiply(g, g).is_identity()
+    left = right = LEAF
+    for _ in range(1999):
+        left, right = caret(left, LEAF), caret(LEAF, right)
+    g = VElement(left, right)
+    assert g.leaf_count == 2000
+    assert multiply(g, g) == _multiply_by_refinement(g, g)
+    assert multiply(g, ~g).is_identity()
 
 
 def test_group_axioms_random():
@@ -223,13 +261,47 @@ def test_group_axioms_random():
         assert ~(~g) == g
 
 
+def test_multiply_matches_refinement_on_words():
+    gens = standard_generators()
+    pool = gens + tuple(~g for g in gens)
+    rng = random.Random(41)
+    words = []
+    for length in range(15):
+        for _ in range(3):
+            acc = VElement.identity()
+            for _ in range(length):
+                acc = _multiply_by_refinement(acc, rng.choice(pool))
+            words.append(acc)
+    for g in words:
+        assert multiply(g, ~g).is_identity()
+        for h in words:
+            assert multiply(g, h) == _multiply_by_refinement(g, h)
+
+
+def test_multiply_matches_refinement_on_large_elements():
+    rng = random.Random(43)
+    ident = VElement.identity()
+    for i, n in enumerate((50, 100, 200, 400, 600)):
+        g = _random_element(rng, n, "FTV"[i % 3])
+        h = _random_element(rng, n, "FTV"[(i + 1) % 3])
+        gh = multiply(g, h)
+        assert gh == _multiply_by_refinement(g, h)
+        assert multiply(h, g) == _multiply_by_refinement(h, g)
+        assert multiply(gh, ~h) == _multiply_by_refinement(gh, ~h) == g
+        assert multiply(g, ~g) == _multiply_by_refinement(g, ~g) == ident
+    # the exchange combs are involutions
+    for n in (50, 100, 200):
+        c = family_gn(n)
+        assert multiply(c, c) == _multiply_by_refinement(c, c) == ident
+
+
 def test_inverse_is_already_reduced():
     # inverse takes the swapped triple as it is; reducing it again changes nothing
     rng = random.Random(29)
     for _ in range(200):
         g = random_product(rng, rng.randint(1, 8))
         swapped = (g.range, g.domain, g.perm.inverse())
-        assert _reduce(*swapped) == swapped
+        assert _reduce(leaf_cells(g.range), leaf_cells(g.domain), swapped[2].images) is None
         assert ~g == VElement(*swapped)
 
 
