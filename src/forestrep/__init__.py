@@ -22,13 +22,11 @@ from .errors import ContractError, ForestRepError, ParseError
 from .ring import ALPHA, BETA, ONE, ZERO, RingElem
 from .shiftrep import (
     Indicator,
-    LeafSymbol,
     SparseVec,
     UnitVec,
     almost_invariance,
     almost_invariance_report,
     c_constant,
-    forest_apply_shift,
     invariance_bound,
     kn_coefficient,
     zeta,
@@ -44,13 +42,11 @@ from .thompson import (
     family_gn,
     family_kn,
     format_element_literal,
-    inflate,
     inflated_element,
     inverse,
     multiply,
     parse_dyadic,
     parse_element_literal,
-    refine,
     standard_generators,
 )
 from .trees import (

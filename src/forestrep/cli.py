@@ -128,10 +128,13 @@ def _show_fraction(x: Fraction, as_float: bool = False) -> str:
 
 def _emit_rows(rows, fieldnames, csv_path, out):
     if csv_path:
-        with open(csv_path, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(fieldnames)
-            writer.writerows(rows)
+        try:
+            with open(csv_path, "w", newline="", encoding="ascii") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(fieldnames)
+                writer.writerows(rows)
+        except OSError as exc:
+            raise ContractError(f"cannot write {csv_path}: {exc.strerror or exc}") from exc
     else:
         writer = csv.writer(out)
         writer.writerow(fieldnames)

@@ -2,7 +2,9 @@
 
 Every check enumerates (or samples with a fixed seed) independently of the
 code path it validates and returns a JSON-friendly report dict with at least
-the keys ``check``, ``instances`` and ``violations``.
+the keys ``check``, ``instances`` and ``violations``.  ``refine`` and
+``inflate`` build unreduced representatives as trees, apart from the leaf
+cells the library computes on; the tests use them as references too.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from .thompson import (
     family_gn,
     multiply,
     pl_maps_equal,
-    refine,
     standard_generators,
 )
 from .trees import (
     ENUM_LEAF_CAP,
     Forest,
+    Tree,
     _prefixes,
     caret_positions,
     collapse_caret,
@@ -175,6 +177,38 @@ def random_element(rng: random.Random, max_word_length: int, nonidentity: bool =
 def random_elements(count: int, max_word_length: int, seed: int, nonidentity: bool = False):
     rng = random.Random(seed)
     return [random_element(rng, max_word_length, nonidentity) for _ in range(count)]
+
+
+def inflate(perm: Perm, sizes) -> Perm:
+    """Replace strand k by sizes[k-1] parallel strands.
+
+    Domain block k has sizes[k-1] slots; it is sent order-preservingly onto
+    the range block of strand perm(k), whose offset is the total size of the
+    strands landing before it.
+    """
+    sizes = tuple(sizes)
+    if len(sizes) != perm.size:
+        raise ContractError("inflate: one size per strand required")
+    range_sizes = [sizes[perm.inv(j) - 1] for j in range(1, perm.size + 1)]
+    range_off = [0] * perm.size
+    for j in range(1, perm.size):
+        range_off[j] = range_off[j - 1] + range_sizes[j - 1]
+    images = []
+    for k in range(1, perm.size + 1):
+        base = range_off[perm(k) - 1]
+        images.extend(base + r for r in range(1, sizes[k - 1] + 1))
+    return Perm(images)
+
+
+def refine(range_: Tree, perm: Perm, f: Forest) -> tuple[Tree, Perm]:
+    """Carry a forest grafted under the domain leaves to the range side.
+
+    Tree k of f hangs under domain leaf k, so in the refined pair
+    (graft(domain, f), result tree) it hangs under range leaf perm(k); the
+    bijection of that pair is perm inflated by the tree sizes.
+    """
+    widened = inflate(perm, [t.leaf_count for t in f.trees])
+    return graft(range_, Forest(perm.theta(f.trees))), widened
 
 
 def _inflated_representative(g: VElement, rng: random.Random):

@@ -1,9 +1,13 @@
 """Exact coefficients of the shift representation on l^2(Z).
 
 The caret isometry sends a vector v to (shift v) tensor zeta for a fixed
-window vector zeta.  Everything a forest does to an elementary tensor is
-therefore describable leaf by leaf as a shift power applied to either zeta
-or one of the root inputs, which keeps all inner products rational.
+window vector zeta.  So a tree sends its root input to one shift power per
+leaf cell (i, d): shift^left_run(i, d) of the input on the first leaf, where
+i == 0, and of zeta on every other leaf.  Inner products of such tensors are
+products of rational shifted inner products.  The overlap of a group element
+carries the reference vector's leaf cells through the element's bijection
+with ``trees.moved_below``, as ``multiply`` carries its cells, and builds no
+refined tree.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ContractError
-from .thompson import VElement, named_tree, refine
-from .trees import Forest, Tree, complete_tree, leaf_cells, left_run, merge_trees, residual_forest
+from .thompson import VElement, named_tree
+from .trees import complete_tree, leaf_cells, left_run, merge_trees, moved_below
 
 # the exact bound (1 - 8^-m)^(4^m), two integers of about 3m*4^m bits, sets what
 # level m costs: printing it takes 0.4 s at m = 7 and 9 s at m = 8 (2-vCPU VM)
@@ -71,7 +75,10 @@ class UnitVec(NamedTuple):
 
     @classmethod
     def from_sparse(cls, v: SparseVec) -> "UnitVec":
-        return cls(v, v.norm_sq())
+        norm_sq = v.norm_sq()
+        if not norm_sq:
+            raise ContractError("UnitVec: the zero vector has no unit direction")
+        return cls(v, norm_sq)
 
 
 class Indicator:
@@ -81,6 +88,8 @@ class Indicator:
     __slots__ = ("h",)
 
     def __init__(self, h: int):
+        if h < 1:
+            raise ContractError(f"Indicator: window length {h} is below 1")
         self.h = h
 
     def inner_shifts(self, a: int, b: int) -> Fraction:
@@ -104,39 +113,6 @@ def zeta(m: int) -> Indicator:
     return Indicator(2 * m * 8**m)
 
 
-class LeafSymbol(NamedTuple):
-    """Symbolic leaf component shift^power applied to a carrier: the input of
-    slot ``root`` when the whole path is made of left turns, otherwise the
-    fixed auxiliary vector, with ``root`` None."""
-
-    power: int
-    root: int | None
-
-
-def forest_apply_shift(f: Forest) -> tuple[LeafSymbol, ...]:
-    """Leaf components of the forest acting on one abstract input per root.
-
-    Each caret shifts its incoming vector down the left branch and emits the
-    auxiliary vector on the right branch, so a leaf carries the input shifted
-    by its depth when its path is all left turns, and otherwise the auxiliary
-    vector shifted by the number of left turns below the last right turn.
-    """
-    return tuple(
-        LeafSymbol(left_run(index, depth), None if index else root)
-        for root, t in enumerate(f.trees, 1)
-        for index, depth in leaf_cells(t)
-    )
-
-
-def _resolved_powers(f: Forest, input_powers: Sequence[int]) -> list[int]:
-    """Leaf shift powers when every carrier is the auxiliary vector and input
-    slot j arrives already shifted by input_powers[j-1]."""
-    if len(input_powers) != f.root_count:
-        raise ContractError("one input power per root required")
-    shifts = (0, *input_powers)  # slots count from 1; 0 stands for the auxiliary vector
-    return [sym.power + shifts[sym.root or 0] for sym in forest_apply_shift(f)]
-
-
 def c_constant(z) -> Fraction:
     """<shift z, z>^2 * <z, shift^2 z>, the scalar by which the two commutator
     trees pair: the closed form of their leaf-by-leaf pairing, which is
@@ -158,9 +134,9 @@ def kn_coefficient(n: int, xi: Sequence, zeta_vec) -> Fraction:
     """Diagonal coefficient of the level-n commutator inflation on the
     elementary tensor with the given 2^n slot vectors.
 
-    Computed by pairing the two symbolic leaf expansions of trees q and a
-    with exact shifted inner products; equals C^(2^n) times the product of
-    the slot norms, with C = c_constant(zeta_vec).
+    Computed by pairing the leaf shift powers of trees q and a, leaf by
+    leaf, with exact shifted inner products; equals C^(2^n) times the
+    product of the slot norms, with C = c_constant(zeta_vec).
     """
     if n < 0:
         raise ContractError("kn_coefficient: level must be >= 0")
@@ -170,49 +146,61 @@ def kn_coefficient(n: int, xi: Sequence, zeta_vec) -> Fraction:
             f"kn_coefficient: expected {2**n} slot vectors at level {n}, got {len(components)}"
         )
     zeta_vec = _as_unit(zeta_vec)
-    syms_q = forest_apply_shift(Forest((named_tree("q"),)))
-    syms_a = forest_apply_shift(Forest((named_tree("a"),)))
-    # q and a both hang the slot input under their first leaf, so every leaf
-    # pair has one carrier: zeta_vec, alike in every slot, or the slot's own
-    shared = [(sq.power, sa.power) for sq, sa in zip(syms_q, syms_a) if sq.root is None]
-    own = [(sq.power, sa.power) for sq, sa in zip(syms_q, syms_a) if sq.root is not None]
+    # q and a both hang the slot input under their first leaf, the cell with
+    # index 0, so every leaf pair has one carrier: the slot's own vector on
+    # the first pair, zeta_vec, alike in every slot, on the others
+    own, *shared = [
+        (left_run(*cell_q), left_run(*cell_a))
+        for cell_q, cell_a in zip(leaf_cells(named_tree("q")), leaf_cells(named_tree("a")))
+    ]
     # equal slots pair alike; SparseVec is unhashable, so they are found by ==
     distinct = [comp for k, comp in enumerate(components) if comp not in components[:k]]
     total = _pairing(zeta_vec, shared) ** len(components)
     for comp in distinct:
-        total *= _pairing(comp, own) ** components.count(comp)
+        total *= _pairing(comp, [own]) ** components.count(comp)
     return total
 
 
-def _overlap(g: VElement, m: int) -> tuple[Fraction, Tree]:
-    """The overlap <pi(g) xi_m, xi_m> and g's range tree refined so that its
-    domain contains the level-m tree."""
+def _overlap(g: VElement, m: int) -> tuple[Fraction, int]:
+    """The overlap <pi(g) xi_m, xi_m> and the depth of g's range tree once
+    refined so that its domain contains the level-m tree.
+
+    Over the merge W of g's domain and the level tree, the reference vector
+    has on W's leaf cell (i, d) zeta shifted by p = min(left_run(i, d), d - m),
+    the left turns that end its path below the level tree.  g moves each W
+    cell, with its p, under a range leaf.  A moved cell (c, e) with e >= m
+    lies in a level-m cell, where the reference vector has zeta shifted by
+    min(left_run(c, e), e - m).  A moved cell with e < m splits into 2^(m-e)
+    level-m cells, each with plain zeta in the reference vector: the first
+    carries p after m - e more left turns, cell r > 0 carries
+    left_run(r, m - e).  The overlap is the product over these pairs, so the
+    order of the cells does not matter.
+    """
     _check_level("almost_invariance", m)
-    level = complete_tree(m)
-    slots = 2**m
-
-    # reference vector rewritten over the refinement of (domain, level tree)
-    w1 = merge_trees(g.domain, level)
-    powers_w1 = _resolved_powers(residual_forest(w1, level), [0] * slots)
-
-    # g refined so its domain is w1; its action permutes the components
-    range_tree, widened = refine(g.range, g.perm, residual_forest(w1, g.domain))
-    powers_range = widened.theta(powers_w1)
-
-    # pair (range_tree, moved components) against (level, all zeros)
-    w2 = merge_trees(range_tree, level)
-    left = _resolved_powers(residual_forest(w2, range_tree), powers_range)
-    right = _resolved_powers(residual_forest(w2, level), [0] * slots)
-    return _pairing(zeta(m), zip(left, right)), range_tree
+    w_cells = leaf_cells(merge_trees(g.domain, complete_tree(m)))
+    g_range = leaf_cells(g.range)
+    moved = moved_below(w_cells, leaf_cells(g.domain), [g_range[a - 1] for a in g.perm.images])
+    pairs = []
+    depth = 0
+    for (c, e), (i, d) in zip((cell for group in moved for cell in group), w_cells):
+        p = min(left_run(i, d), d - m)
+        depth = max(depth, e)
+        if e >= m:
+            pairs.append((p, min(left_run(c, e), e - m)))
+        else:
+            k = m - e
+            pairs.append((k + p, 0))
+            pairs += [(left_run(r, k), 0) for r in range(1, 1 << k)]
+    return _pairing(zeta(m), pairs), depth
 
 
 def almost_invariance(g: VElement, m: int) -> Fraction:
     """Exact overlap <pi(g) xi_m, xi_m> against the level-m reference vector
     (the all-equal elementary tensor over the complete tree with 2^m leaves).
 
-    Both sides are rewritten over a common refinement tree; every component
-    is then a shift power of zeta(m), so the overlap is a product of its
-    rational shifted inner products."""
+    Both sides are written on level-m cells and below, cell by cell; every
+    component is then a shift power of zeta(m), so the overlap is a product
+    of its rational shifted inner products."""
     return _overlap(g, m)[0]
 
 
@@ -225,12 +213,12 @@ def invariance_bound(m: int) -> Fraction:
 def almost_invariance_report(g: VElement, m: int) -> dict:
     """Coefficient, bound and the depth condition under which the bound is
     guaranteed (domain no deeper than m once refined, range no deeper than 2m)."""
-    value, range_tree = _overlap(g, m)
+    value, range_depth = _overlap(g, m)
     ref = invariance_bound(m)
     return {
         "m": m,
         "coefficient": value,
         "bound": ref,
         "satisfied": value >= ref,
-        "within_depth": g.domain.depth <= m and range_tree.depth <= 2 * m,
+        "within_depth": g.domain.depth <= m and range_depth <= 2 * m,
     }

@@ -8,9 +8,9 @@ is confluent, so equality of elements is structural equality of triples.
 Both the constructor and ``multiply`` work on leaf cells, the (index, depth)
 of each leaf's dyadic interval, and share one reduction kernel, ``_reduce``.
 A product is written cell by cell from the merge of the two inner trees and
-never builds its unreduced tree pair.  ``refine``, ``inflate`` and ``graft``
-carry a forest through a bijection as trees; the shift representation and
-the oracles use them.
+never builds its unreduced tree pair: ``trees.moved_below`` carries the
+merged tree's cells through the bijection, as it does for the shift
+representation's overlap.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .trees import (
     graft,
     leaf_cells,
     merge_trees,
+    moved_below,
     parse_tree,
     tree_from_depths,
 )
@@ -129,38 +130,6 @@ def _inverse_index(images: tuple) -> tuple:
     return tuple(inv)
 
 
-def inflate(perm: Perm, sizes) -> Perm:
-    """Replace strand k by sizes[k-1] parallel strands.
-
-    Domain block k has sizes[k-1] slots; it is sent order-preservingly onto
-    the range block of strand perm(k), whose offset is the total size of the
-    strands landing before it.
-    """
-    sizes = tuple(sizes)
-    if len(sizes) != perm.size:
-        raise ContractError("inflate: one size per strand required")
-    range_sizes = [sizes[perm.inv(j) - 1] for j in range(1, perm.size + 1)]
-    range_off = [0] * perm.size
-    for j in range(1, perm.size):
-        range_off[j] = range_off[j - 1] + range_sizes[j - 1]
-    images = []
-    for k in range(1, perm.size + 1):
-        base = range_off[perm(k) - 1]
-        images.extend(base + r for r in range(1, sizes[k - 1] + 1))
-    return Perm(images)
-
-
-def refine(range_: Tree, perm: Perm, f: Forest) -> tuple[Tree, Perm]:
-    """Carry a forest grafted under the domain leaves to the range side.
-
-    Tree k of f hangs under domain leaf k, so in the refined pair
-    (graft(domain, f), result tree) it hangs under range leaf perm(k); the
-    bijection of that pair is perm inflated by the tree sizes.
-    """
-    widened = inflate(perm, [t.leaf_count for t in f.trees])
-    return graft(range_, Forest(perm.theta(f.trees))), widened
-
-
 # ---------------------------------------------------------------------------
 # group elements
 
@@ -256,26 +225,6 @@ def _reduce(domain_cells, range_cells, images):
     )
 
 
-def _moved_below(w_cells, cells, onto):
-    """For each cell (c, e) of a prefix of the tree whose leaf cells are
-    w_cells, the leaf cells below it moved into the cell onto[k] = (c2, e2):
-    leaf cell (i, d) at offset i - c * 2^(d-e) inside (c, e) goes to the same
-    offset inside (c2, e2)."""
-    out = []
-    below = iter(w_cells)
-    for (c, e), (c2, e2) in zip(cells, onto):
-        group = []
-        shift, lift, end = c2 - c, e2 - e, c + 1
-        for i, d in below:
-            r = d - e
-            group.append((i + (shift << r), d + lift))
-            # the last leaf below (c, e) ends where it ends
-            if i + 1 == end << r:
-                break
-        out.append(group)
-    return out
-
-
 def multiply(g: VElement, h: VElement) -> VElement:
     """Group product; (g*h) acts as g after h on [0, 1).
 
@@ -290,8 +239,8 @@ def multiply(g: VElement, h: VElement) -> VElement:
     # per g domain leaf b, its W leaves as product range cells; per h range
     # leaf c, its W leaves as product domain cells
     g_range = leaf_cells(g.range)
-    under_g = _moved_below(w_cells, leaf_cells(g.domain), [g_range[a - 1] for a in g.perm.images])
-    under_h = _moved_below(w_cells, leaf_cells(h.range), h.perm.theta(leaf_cells(h.domain)))
+    under_g = moved_below(w_cells, leaf_cells(g.domain), [g_range[a - 1] for a in g.perm.images])
+    under_h = moved_below(w_cells, leaf_cells(h.range), h.perm.theta(leaf_cells(h.domain)))
 
     # the product range lists g's range leaves in order; offsets[a - 1]
     # numbers the first product range leaf below g's range leaf a

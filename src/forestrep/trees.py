@@ -197,6 +197,26 @@ def left_run(index: int, depth: int) -> int:
     return (index & -index).bit_length() - 1 if index else depth
 
 
+def moved_below(w_cells, cells, onto):
+    """For each cell (c, e) of a prefix of the tree whose leaf cells are
+    w_cells, the leaf cells below it moved into the cell onto[k] = (c2, e2):
+    leaf cell (i, d) at offset i - c * 2^(d-e) inside (c, e) goes to the same
+    offset inside (c2, e2)."""
+    out = []
+    below = iter(w_cells)
+    for (c, e), (c2, e2) in zip(cells, onto):
+        group = []
+        shift, lift, end = c2 - c, e2 - e, c + 1
+        for i, d in below:
+            r = d - e
+            group.append((i + (shift << r), d + lift))
+            # the last leaf below (c, e) ends where it ends
+            if i + 1 == end << r:
+                break
+        out.append(group)
+    return out
+
+
 def tree_from_depths(depths) -> Tree:
     """The tree whose leaves, left to right, sit at the given depths."""
     return _assemble((LEAF, d) for d in depths)

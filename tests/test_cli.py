@@ -184,6 +184,19 @@ def test_sweep_csv(tmp_path, capsys):
         assert value == alpha**4
 
 
+def test_unwritable_csv_path(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "x.csv")
+    for argv in (
+        ["scan-vanishing", "--alpha", "1/2", "--max-leaves", "3"],
+        ["sweep", "--element", "g", "--alphas", "1/2"],
+        ["kazhdan", "almost-invariant", "--element", "g", "--m", "1"],
+        ["kazhdan", "kn", "--n", "1", "--m", "1"],
+    ):
+        code, _, err = run(capsys, *argv, "--csv", target)
+        assert code == 1 and err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"contract violation: cannot write {target}: ")
+
+
 def test_gram_files(tmp_path, capsys):
     lines = tmp_path / "elements.txt"
     lines.write_text("g\nh\n(f1 f1)/(f2 f1)\n")

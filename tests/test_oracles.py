@@ -1,7 +1,10 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import forestrep
 from forestrep.coefficients import RTensor
 from forestrep.oracles import (
     REDUCTION_SAMPLE_CAP,
@@ -173,3 +176,32 @@ def test_random_elements_deterministic():
     b = random_elements(5, 4, seed=3)
     assert a == b
     assert all(not g.is_identity() for g in random_elements(5, 4, seed=3, nonidentity=True))
+
+
+def _imported_modules(source: str) -> set[str]:
+    """Absolute names of the modules a forestrep module's source imports,
+    whether written relative or absolute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "forestrep" if node.level else ""
+            module = ".".join(part for part in (base, node.module or "") if part)
+            names.add(module)
+            # "from . import oracles" names the module as an imported name
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_production_modules_do_not_import_oracles():
+    # the oracles are the reference constructions the library is checked
+    # against; only the command line reports them
+    paths = sorted(Path(forestrep.__file__).parent.glob("*.py"))
+    assert {"cli.py", "oracles.py", "shiftrep.py", "thompson.py"} <= {p.name for p in paths}
+    importers = {
+        p.stem for p in paths if "forestrep.oracles" in _imported_modules(p.read_text())
+    }
+    assert importers == {"cli"}
+    assert "forestrep.oracles" in _imported_modules("from . import oracles")
+    assert "forestrep.oracles" in _imported_modules("import forestrep.oracles as o")

@@ -4,28 +4,25 @@ from fractions import Fraction
 import pytest
 
 from forestrep.errors import ContractError
-from forestrep.oracles import random_elements
+from forestrep.oracles import random_elements, refine
 from forestrep.shiftrep import (
     SHIFT_LEVEL_CAP,
     Indicator,
-    LeafSymbol,
     SparseVec,
     UnitVec,
     almost_invariance,
     almost_invariance_report,
     c_constant,
-    forest_apply_shift,
     invariance_bound,
     kn_coefficient,
     zeta,
-    _resolved_powers,
 )
 from forestrep.thompson import (
     Perm,
     VElement,
     builtin,
+    family_gn,
     named_tree,
-    refine,
 )
 from forestrep.trees import (
     LEAF,
@@ -34,7 +31,9 @@ from forestrep.trees import (
     complete_tree,
     merge_trees,
     parse_tree,
+    path_words,
     residual_forest,
+    tree_from_splits,
 )
 
 
@@ -119,33 +118,22 @@ def test_inner_shifts_matches_two_shifted_copies():
                 assert u.inner_shifts(a, b) == expected
 
 
+def test_zero_vector_and_empty_window_refused():
+    # neither has a unit direction, so no overlap is formed with them
+    with pytest.raises(ContractError, match="zero vector"):
+        kn_coefficient(0, [SparseVec({})], zeta(1))
+    with pytest.raises(ContractError, match="zero vector"):
+        UnitVec.from_sparse(SparseVec({3: 0}))
+    for h in (0, -1):
+        with pytest.raises(ContractError, match=f"window length {h} is below 1"):
+            Indicator(h)
+
+
 def test_shift_overlap_strictly_inside_unit():
     for m in (1, 2, 3):
         z = zeta(m)
         value = z.inner_shifts(1, 0)
         assert 0 < value < 1
-
-
-# ---------------------------------------------------------------------------
-# symbolic leaf components
-
-def test_forest_apply_shift_single_caret():
-    syms = forest_apply_shift(Forest((caret(LEAF, LEAF),)))
-    assert syms == (LeafSymbol(1, 1), LeafSymbol(0, None))
-
-
-def test_forest_apply_shift_named_trees():
-    syms_a = forest_apply_shift(Forest((named_tree("a"),)))
-    assert [(s.power, s.root) for s in syms_a] == [(2, 1), (0, None), (2, None), (0, None), (0, None)]
-    syms_q = forest_apply_shift(Forest((named_tree("q"),)))
-    assert [(s.power, s.root) for s in syms_q] == [(2, 1), (1, None), (0, None), (1, None), (0, None)]
-
-
-def test_forest_apply_shift_power_bound():
-    for name in ("a", "b", "c", "d", "q"):
-        t = named_tree(name)
-        for sym in forest_apply_shift(Forest((t,))):
-            assert sym.power <= t.depth
 
 
 # ---------------------------------------------------------------------------
@@ -294,29 +282,73 @@ def test_almost_invariance_report_through_level_cap():
                 assert report["within_depth"]
 
 
-def _pair_through(g: VElement, m: int, deep_level: int) -> Fraction:
-    """Same overlap but forcing the final pairing through a deeper complete
-    tree; must agree with the least-refinement route."""
-    z = zeta(m)
+def _leaf_powers(f: Forest, input_powers) -> list[int]:
+    """Leaf shift powers of a forest whose root k gets the window vector
+    shifted by input_powers[k]: each caret shifts its input down the left
+    branch and emits the unshifted window on the right, so a leaf's power is
+    the left turns that end its path, plus its root's input power when the
+    path turns only left."""
+    powers = []
+    for t, shift in zip(f.trees, input_powers, strict=True):
+        for word in path_words(t):
+            # a path word lists the turn nearest the leaf first, 'a' for left
+            powers.append(len(word) - len(word.lstrip("a")) + (0 if "b" in word else shift))
+    return powers
+
+
+def _overlap_by_refinement(g: VElement, m: int, deep_level: int = 0):
+    """Reference overlap through trees: the reference vector written over
+    the merge of g's domain and the level tree, carried to the range side by
+    refining g, and paired with the reference vector over the merge of that
+    refined range tree, the level tree and the complete tree of deep_level.
+    Returns the overlap and the refined range tree."""
     level = complete_tree(m)
     slots = 2**m
     w1 = merge_trees(g.domain, level)
-    powers_w1 = _resolved_powers(residual_forest(w1, level), [0] * slots)
+    powers_w1 = _leaf_powers(residual_forest(w1, level), [0] * slots)
     range_tree, widened = refine(g.range, g.perm, residual_forest(w1, g.domain))
     powers_range = widened.theta(powers_w1)
     w2 = merge_trees(merge_trees(range_tree, level), complete_tree(deep_level))
-    left = _resolved_powers(residual_forest(w2, range_tree), powers_range)
-    right = _resolved_powers(residual_forest(w2, level), [0] * slots)
+    left = _leaf_powers(residual_forest(w2, range_tree), powers_range)
+    right = _leaf_powers(residual_forest(w2, level), [0] * slots)
+    z = zeta(m)
     value = Fraction(1)
     for a, b in zip(left, right):
         value *= z.inner_shifts(a, b)
-    return value
+    return value, range_tree
+
+
+def _random_v_element(rng: random.Random, n: int) -> VElement:
+    def tree():
+        return tree_from_splits(rng.randint(1, k) for k in range(1, n))
+
+    return VElement(tree(), tree(), Perm(rng.sample(range(1, n + 1), n)))
+
+
+def test_overlap_matches_refinement_reference():
+    # the leaf-cell overlap against the tree route: value and depth condition
+    rng = random.Random(13)
+    elements = random_elements(800, 8, seed=5)
+    elements += [_random_v_element(rng, rng.randint(1, 30)) for _ in range(400)]
+    cases = [(g, m) for g in elements for m in range(1, 6)]
+    left = parse_tree(" ".join(["f1"] * 299))
+    right = parse_tree(" ".join(f"f{i}" for i in range(299, 0, -1)))
+    comb = VElement(right, left)
+    for g in (comb, ~comb, family_gn(30), builtin("g"), builtin("h"), builtin("k")):
+        cases += [(g, m) for m in range(1, SHIFT_LEVEL_CAP + 1)]
+    assert len(cases) == 6042
+    for g, m in cases:
+        value, range_tree = _overlap_by_refinement(g, m)
+        report = almost_invariance_report(g, m)
+        assert report["coefficient"] == value, (g, m)
+        assert report["within_depth"] == (g.domain.depth <= m and range_tree.depth <= 2 * m), (g, m)
 
 
 def test_almost_invariance_refinement_independent():
+    # pairing through a deeper complete tree than the least refinement
     for g in (x0(), rotation2()):
         for m in (1, 2):
-            assert almost_invariance(g, m) == _pair_through(g, m, 2 * m)
+            assert almost_invariance(g, m) == _overlap_by_refinement(g, m, 2 * m)[0]
     for m in (1, 2, 3):
         for g in random_elements(5, 6, seed=40 + m):
-            assert almost_invariance(g, m) == _pair_through(g, m, m + 1)
+            assert almost_invariance(g, m) == _overlap_by_refinement(g, m, m + 1)[0]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from forestrep.errors import ContractError, ParseError
+from forestrep.oracles import inflate, refine
 from forestrep.thompson import (
     FAMILY_GN_CAP,
     Perm,
@@ -17,14 +18,12 @@ from forestrep.thompson import (
     family_gn,
     family_kn,
     format_element_literal,
-    inflate,
     inflated_element,
     multiply,
     named_tree,
     parse_dyadic,
     parse_element_literal,
     pl_maps_equal,
-    refine,
     standard_generators,
     _reduce,
 )
