@@ -2,21 +2,16 @@
 representation coefficients."""
 
 from .coefficients import (
-    ExpansionTerm,
     FarleyPhi,
     GramResult,
-    RTensor,
     VanishRow,
     farley_matches_phi,
     farley_norm,
     farley_phi,
     gram_psd_check,
-    partition_function,
     phi_alpha,
     phi_alpha_eval,
-    phi_expansion,
     vanishing_scan,
-    word_window_tensor,
 )
 from .errors import ContractError, ForestRepError, ParseError
 from .ring import ALPHA, BETA, ONE, ZERO, RingElem
@@ -62,7 +57,6 @@ from .trees import (
     enumerate_trees,
     format_forest,
     format_tree,
-    format_words,
     graft,
     merge_trees,
     parse_forest,

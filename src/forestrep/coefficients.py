@@ -1,12 +1,13 @@
 """Exact representation coefficients over binary forests.
 
-Two computation routes live here.  The generic route contracts a finite
-three-index tensor over the states of a forest (a partition function).  The
-interpolation route gives the coefficient ``phi_alpha``, an integer
-polynomial in alpha: on F and T the monomial alpha^(2n - 2) of a reduced
-pair with n leaves (the cyclic-forest lemma), on V by expanding the action of
-each tree on the vacuum basis vector into prefix terms and pairing the two
-expansions.
+``phi_alpha`` is the diagonal vacuum coefficient of the interpolation
+family, an integer polynomial in alpha: on F and T the monomial
+alpha^(2n - 2) of a reduced pair with n leaves (the cyclic-forest lemma), on
+V the sum over the pairs of prefixes whose residual words match through the
+leaf bijection.  Beside it: the comparison with the exponential-decay
+family, exact PSD verdicts on Gram matrices and the decay table on rotation
+elements.  The tensor construction these coefficients come from, and the
+routes that check them, live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -14,135 +15,22 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import ContractError
-from .ring import ONE, RingElem
+from .ring import RingElem
 from .thompson import Perm, VElement, inverse, multiply
-from .trees import (
-    Forest,
-    Tree,
-    caret_positions,
-    enumerate_trees,
-    fold_tree,
-    subrooted_trees,
-)
+from .trees import caret_positions, enumerate_trees, subrooted_trees
 
 
-class RTensor:
-    """Finite three-index tensor R_i^{j,k} over an explicit index set.
-
-    ``entries`` maps (i, j, k) to an exact scalar (Fraction, int or RingElem).
-    When ``check_isometry`` is set, every column i must satisfy
-    sum_{j,k} R_i^{j,k}^2 = 1 exactly; symbolic entries are checked in the
-    ring, which implies the identity for every parameter value.  Windows cut
-    out of an infinite isometry are not themselves isometries, so they are
-    built with the check disabled.
-    """
-
-    __slots__ = ("indices", "entries", "_columns")
-
-    def __init__(self, indices, entries: dict, check_isometry: bool = True):
-        self.indices = tuple(indices)
-        index_set = set(self.indices)
-        if len(index_set) != len(self.indices):
-            raise ContractError("RTensor: duplicate indices")
-        self.entries = dict(entries)
-        columns: dict = {i: [] for i in self.indices}
-        for (i, j, k), value in self.entries.items():
-            if i not in index_set or j not in index_set or k not in index_set:
-                raise ContractError(f"RTensor: entry ({i},{j},{k}) outside the index set")
-            columns[i].append(((j, k), value))
-        self._columns = columns
-        if check_isometry:
-            for i in self.indices:
-                if sum((v * v for _, v in columns[i]), start=0) != 1:
-                    raise ContractError(f"RTensor: column {i!r} is not norm one")
-
-    def column(self, i):
-        try:
-            return self._columns[i]
-        except KeyError:
-            raise ContractError(f"RTensor: index {i!r} outside the index set") from None
-
-
-def partition_function(f: Forest, R: RTensor, in_idx, out_idx):
-    """Sum over all edge labelings compatible with the boundary indices of the
-    product of R over the internal vertices.
-
-    ``in_idx`` labels the roots, ``out_idx`` the leaves.  An empty compatible
-    set yields 0; a forest with no vertices yields 1 exactly when the
-    boundaries agree.
-    """
-    in_idx = tuple(in_idx)
-    out_idx = tuple(out_idx)
-    if len(in_idx) != f.root_count:
-        raise ContractError("partition_function: one input index per root required")
-    if len(out_idx) != f.leaf_count:
-        raise ContractError("partition_function: one output index per leaf required")
-    index_set = set(R.indices)
-    for i in in_idx + out_idx:
-        if i not in index_set:
-            raise ContractError(f"partition_function: index {i!r} outside the index set")
-
-    def join(left: dict, right: dict) -> dict:
-        # label i on a caret's top edge sums R_i^{j,k} * left[j] * right[k]
-        out = {}
-        for i in R.indices:
-            value = sum(
-                (w * left[j] * right[k] for (j, k), w in R.column(i) if j in left and k in right),
-                start=0,
-            )
-            if value != 0:
-                out[i] = value
-        return out
-
-    total = 1
-    pos = 0
-    for root, t in zip(in_idx, f.trees):
-        segment = out_idx[pos : pos + t.leaf_count]
-        pos += t.leaf_count
-        # one state sum per tree: each node maps its top label to an amplitude
-        value = fold_tree(t, [{label: 1} for label in segment], join).get(root, 0)
-        if value == 0:
-            return 0 * total
-        total = total * value
-    return total
-
-
-# ---------------------------------------------------------------------------
-# the interpolation family
-
-class ExpansionTerm(NamedTuple):
-    coefficient: RingElem
-    words: tuple[str, ...]
-
-
-def phi_expansion(t: Tree) -> tuple[ExpansionTerm, ...]:
-    """Expansion of the tree's action on the vacuum vector: one term per
-    prefix z, with coefficient alpha^(leaves(z)-1) * beta^(inner leaves of z)
-    attached to the residual path words."""
-    return tuple(
-        ExpansionTerm(RingElem.term(entry.tree.leaf_count - 1, entry.inner_leaves), entry.words)
-        for entry in subrooted_trees(t)
-    )
-
-
-def word_window_tensor(words: Iterable[str]) -> RTensor:
-    """The interpolation tensor restricted to the suffix closure of the given
-    words.  Column 'e' carries alpha on (e, e) and beta on (a, b); a word g
-    maps to ('a'+g, 'b'+g) with weight one whenever both lie in the window.
-    """
-    closure = {""}
-    for w in words:
-        for k in range(len(w) + 1):
-            closure.add(w[k:])
-    closure.update({"a", "b"})
-    entries: dict = {("", "", ""): RingElem.alpha(), ("", "a", "b"): RingElem.beta()}
-    for g in closure:
-        if g and "a" + g in closure and "b" + g in closure:
-            entries[(g, "a" + g, "b" + g)] = ONE
-    return RTensor(sorted(closure), entries, check_isometry=False)
+def _exact_alpha(where: str, alpha) -> Fraction:
+    """alpha as a Fraction in [0, 1], from an int or a Fraction only: Fraction()
+    would also take a float's binary value, a string or a Decimal."""
+    if type(alpha) not in (int, Fraction):
+        raise ContractError(f"{where}: alpha is a {type(alpha).__name__}, not an int or a Fraction")
+    if not 0 <= alpha <= 1:
+        raise ContractError(f"{where}: alpha must lie in [0, 1]")
+    return Fraction(alpha)
 
 
 def phi_alpha(g: VElement) -> RingElem:
@@ -179,10 +67,7 @@ def phi_alpha(g: VElement) -> RingElem:
 
 def phi_alpha_eval(g: VElement, alpha) -> Fraction:
     """Exact rational value of phi_alpha at a rational parameter in [0, 1]."""
-    alpha = Fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise ContractError("phi_alpha_eval: alpha must lie in [0, 1]")
-    return phi_alpha(g).eval(alpha)
+    return phi_alpha(g).eval(_exact_alpha("phi_alpha_eval", alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +176,7 @@ def gram_psd_check(elements, alpha) -> GramResult:
     included, are phi(identity) = 1.  A repeated element takes the row and
     column of its first occurrence.
     """
-    alpha = Fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise ContractError("gram_psd_check: alpha must lie in [0, 1]")
+    alpha = _exact_alpha("gram_psd_check", alpha)
     elements = list(elements)
     # slot[i]: the position of element i among the distinct elements
     slots: dict = {}
@@ -361,9 +244,7 @@ def vanishing_scan(alpha, max_leaves: int) -> list[VanishRow]:
     restates it and reads 0; the independent check is prefix-pair enumeration
     (``_enumerated_phi`` in tests/test_coefficients.py).
     """
-    alpha = Fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise ContractError("vanishing_scan: alpha must lie in [0, 1]")
+    alpha = _exact_alpha("vanishing_scan", alpha)
     if max_leaves < 0:
         raise ContractError(f"vanishing_scan: max_leaves {max_leaves} is negative")
     triples = _rotation_triples(max_leaves)

@@ -5,6 +5,9 @@ code path it validates and returns a JSON-friendly report dict with at least
 the keys ``check``, ``instances`` and ``violations``.  ``refine`` and
 ``inflate`` build unreduced representatives as trees, apart from the leaf
 cells the library computes on; the tests use them as references too.
+The tensor construction the coefficients come from (Jones, arXiv:1412.7740)
+is kept here as a reference: ``RTensor``, its state sum ``partition_function``
+and the windowed interpolation tensor ``word_window_tensor``.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ import itertools
 import math
 import random
 from collections import Counter
+from typing import Iterable
 
-from .coefficients import RTensor, partition_function, phi_alpha, word_window_tensor
+from .coefficients import phi_alpha
 from .errors import ContractError
-from .ring import RingElem
+from .ring import ONE, RingElem
 from .thompson import (
     Perm,
     VElement,
@@ -34,6 +38,7 @@ from .trees import (
     collapse_caret,
     enumerate_forests,
     enumerate_trees,
+    fold_tree,
     graft,
     path_words,
     split_sequence,
@@ -294,7 +299,118 @@ def check_reduction_soundness(samples: int = 500, seed: int = 42) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# operator-composition route for the partition function
+# the tensor construction: a state sum and an operator route
+
+class RTensor:
+    """Finite three-index tensor R_i^{j,k} over an explicit index set.
+
+    ``entries`` maps (i, j, k) to an exact scalar (Fraction, int or RingElem).
+    When ``check_isometry`` is set, every column i must satisfy
+    sum_{j,k} R_i^{j,k}^2 = 1 exactly; symbolic entries are checked in the
+    ring, which implies the identity for every parameter value.  Windows cut
+    out of an infinite isometry are not themselves isometries, so they are
+    built with the check disabled.
+    """
+
+    __slots__ = ("indices", "entries", "_columns")
+
+    def __init__(self, indices, entries: dict, check_isometry: bool = True):
+        self.indices = tuple(indices)
+        index_set = set(self.indices)
+        if len(index_set) != len(self.indices):
+            raise ContractError("RTensor: duplicate indices")
+        self.entries = dict(entries)
+        columns: dict = {i: [] for i in self.indices}
+        for (i, j, k), value in self.entries.items():
+            if i not in index_set or j not in index_set or k not in index_set:
+                raise ContractError(f"RTensor: entry ({i},{j},{k}) outside the index set")
+            columns[i].append(((j, k), value))
+        self._columns = columns
+        if check_isometry:
+            for i in self.indices:
+                if sum((v * v for _, v in columns[i]), start=0) != 1:
+                    raise ContractError(f"RTensor: column {i!r} is not norm one")
+
+    def column(self, i):
+        try:
+            return self._columns[i]
+        except KeyError:
+            raise ContractError(f"RTensor: index {i!r} outside the index set") from None
+
+
+def word_window_tensor(words: Iterable[str]) -> RTensor:
+    """The interpolation tensor restricted to the suffix closure of the given
+    words.  Column 'e' carries alpha on (e, e) and beta on (a, b); a word g
+    maps to ('a'+g, 'b'+g) with weight one whenever both lie in the window.
+    """
+    closure = {""}
+    for w in words:
+        for k in range(len(w) + 1):
+            closure.add(w[k:])
+    closure.update({"a", "b"})
+    entries: dict = {("", "", ""): RingElem.alpha(), ("", "a", "b"): RingElem.beta()}
+    for g in closure:
+        if g and "a" + g in closure and "b" + g in closure:
+            entries[(g, "a" + g, "b" + g)] = ONE
+    return RTensor(sorted(closure), entries, check_isometry=False)
+
+
+def _root_amplitudes(f: Forest, R: RTensor, out_idx) -> list[dict]:
+    """One state sum per tree of f under the leaf labels out_idx: for each
+    tree, every root label with a nonzero amplitude mapped to it."""
+
+    def join(left: dict, right: dict) -> dict:
+        # label i on a caret's top edge sums R_i^{j,k} * left[j] * right[k]
+        out = {}
+        for i in R.indices:
+            value = sum(
+                (w * left[j] * right[k] for (j, k), w in R.column(i) if j in left and k in right),
+                start=0,
+            )
+            if value != 0:
+                out[i] = value
+        return out
+
+    amplitudes = []
+    pos = 0
+    for t in f.trees:
+        segment = out_idx[pos : pos + t.leaf_count]
+        pos += t.leaf_count
+        amplitudes.append(fold_tree(t, [{label: 1} for label in segment], join))
+    return amplitudes
+
+
+def _boundary_value(amplitudes: list[dict], in_idx):
+    """The product over the trees of their root label's amplitude."""
+    total = 1
+    for root, by_root in zip(in_idx, amplitudes):
+        value = by_root.get(root, 0)
+        if value == 0:
+            return 0 * total
+        total = total * value
+    return total
+
+
+def partition_function(f: Forest, R: RTensor, in_idx, out_idx):
+    """Sum over all edge labelings compatible with the boundary indices of the
+    product of R over the internal vertices.
+
+    ``in_idx`` labels the roots, ``out_idx`` the leaves.  An empty compatible
+    set yields 0; a forest with no vertices yields 1 exactly when the
+    boundaries agree.
+    """
+    in_idx = tuple(in_idx)
+    out_idx = tuple(out_idx)
+    if len(in_idx) != f.root_count:
+        raise ContractError("partition_function: one input index per root required")
+    if len(out_idx) != f.leaf_count:
+        raise ContractError("partition_function: one output index per leaf required")
+    index_set = set(R.indices)
+    for i in in_idx + out_idx:
+        if i not in index_set:
+            raise ContractError(f"partition_function: index {i!r} outside the index set")
+    return _boundary_value(_root_amplitudes(f, R, out_idx), in_idx)
+
 
 def forest_split_sequence(f: Forest) -> list[int]:
     """Global leaf positions whose successive splitting rebuilds the forest
@@ -307,15 +423,9 @@ def forest_split_sequence(f: Forest) -> list[int]:
     return out
 
 
-def operator_coefficient(f: Forest, R: RTensor, in_idx, out_idx):
-    """Matrix coefficient of the forest computed the slow way: apply the
-    elementary one-caret operators one after another to the input basis
-    vector and read off the output component."""
-    vec = dict(operator_apply(f, R, in_idx))
-    return vec.get(tuple(out_idx), 0)
-
-
 def operator_apply(f: Forest, R: RTensor, in_idx) -> dict:
+    """The forest's operator on an input basis vector, composed the slow way
+    from one-caret operators: each output boundary's nonzero coefficient."""
     in_idx = tuple(in_idx)
     if len(in_idx) != f.root_count:
         raise ValueError("operator_apply: one input index per root required")
@@ -337,14 +447,16 @@ def check_partition_operator_agreement(R: RTensor, max_leaves: int = 6) -> dict:
     violations = 0
     for m in range(1, max_leaves + 1):
         for f in enumerate_forests(m):
-            r = f.root_count
-            for in_idx in itertools.product(R.indices, repeat=r):
-                table = operator_apply(f, R, in_idx)
-                for out_idx in itertools.product(R.indices, repeat=m):
+            tables = {
+                in_idx: operator_apply(f, R, in_idx)
+                for in_idx in itertools.product(R.indices, repeat=f.root_count)
+            }
+            for out_idx in itertools.product(R.indices, repeat=m):
+                # one state sum per tree gives every root label's amplitude
+                amplitudes = _root_amplitudes(f, R, out_idx)
+                for in_idx, table in tables.items():
                     instances += 1
-                    lhs = partition_function(f, R, in_idx, out_idx)
-                    rhs = table.get(out_idx, 0)
-                    if lhs != rhs:
+                    if _boundary_value(amplitudes, in_idx) != table.get(out_idx, 0):
                         violations += 1
     return {
         "check": "partition-operator-agreement",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ContractError
 from .thompson import VElement, named_tree
@@ -62,23 +62,25 @@ class SparseVec:
         return f"SparseVec({dict(sorted(self.entries.items()))})"
 
 
-class UnitVec(NamedTuple):
-    """A unit vector kept rational: the actual vector is vec / sqrt(scale_sq),
-    so inner products between shifts of the same UnitVec are exact rationals."""
+class UnitVec:
+    """The unit vector vec / |vec| kept rational through the squared norm of
+    vec, so inner products between its shifts are exact rationals."""
 
-    vec: SparseVec
-    scale_sq: Fraction
+    __slots__ = ("vec", "_norm_sq")
+
+    def __init__(self, vec: SparseVec):
+        norm_sq = vec.norm_sq()
+        if not norm_sq:
+            raise ContractError("UnitVec: the zero vector has no unit direction")
+        self.vec = vec
+        self._norm_sq = norm_sq
 
     def inner_shifts(self, a: int, b: int) -> Fraction:
         """<shift^a u, shift^b u>, which is <u, shift^(b-a) u>."""
-        return self.vec.dot(self.vec.shift(b - a)) / self.scale_sq
+        return self.vec.dot(self.vec.shift(b - a)) / self._norm_sq
 
-    @classmethod
-    def from_sparse(cls, v: SparseVec) -> "UnitVec":
-        norm_sq = v.norm_sq()
-        if not norm_sq:
-            raise ContractError("UnitVec: the zero vector has no unit direction")
-        return cls(v, norm_sq)
+    def __eq__(self, other):
+        return isinstance(other, UnitVec) and self.vec == other.vec
 
 
 class Indicator:
@@ -103,7 +105,7 @@ def _as_unit(v) -> UnitVec | Indicator:
     if isinstance(v, (UnitVec, Indicator)):
         return v
     if isinstance(v, SparseVec):
-        return UnitVec.from_sparse(v)
+        return UnitVec(v)
     raise ContractError("expected an Indicator, a UnitVec or a SparseVec")
 
 

@@ -375,10 +375,6 @@ def path_words(f: Forest | Tree) -> tuple[str, ...]:
     )
 
 
-def format_words(words) -> str:
-    return "(" + ", ".join(w if w else "e" for w in words) + ")"
-
-
 # ---------------------------------------------------------------------------
 # prefixes (subrooted trees)
 

@@ -9,7 +9,6 @@ import time
 from fractions import Fraction
 
 from forestrep.coefficients import (
-    RTensor,
     farley_norm,
     gram_psd_check,
     phi_alpha,
@@ -17,6 +16,7 @@ from forestrep.coefficients import (
     reduced_rotation_elements,
 )
 from forestrep.oracles import (
+    RTensor,
     check_cyclic_forest_lemma,
     check_partition_operator_agreement,
     check_reduction_soundness,

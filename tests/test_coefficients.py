@@ -2,27 +2,30 @@ import itertools
 import random
 import time
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from forestrep.coefficients import (
     GramResult,
-    RTensor,
     farley_matches_phi,
     farley_norm,
     farley_phi,
     gram_psd_check,
-    partition_function,
     phi_alpha,
     phi_alpha_eval,
-    phi_expansion,
     reduced_rotation_elements,
     vanishing_scan,
-    word_window_tensor,
 )
 from forestrep.errors import ContractError
-from forestrep.oracles import operator_apply, random_elements
+from forestrep.oracles import (
+    RTensor,
+    operator_apply,
+    partition_function,
+    random_elements,
+    word_window_tensor,
+)
 from forestrep.ring import ALPHA, BETA, ONE, RingElem
 from forestrep.thompson import (
     F,
@@ -30,6 +33,7 @@ from forestrep.thompson import (
     V_ONLY,
     Perm,
     VElement,
+    builtin,
     classify,
     family_gn,
     family_kn,
@@ -155,8 +159,6 @@ def test_partition_function_deep_comb():
 
 
 def test_partition_function_matches_operator_route_small():
-    import itertools
-
     R = two_symbol_tensor()
     for m in range(1, 5):
         for f in enumerate_forests(m):
@@ -167,15 +169,25 @@ def test_partition_function_matches_operator_route_small():
 
 
 # ---------------------------------------------------------------------------
-# the interpolation expansion
+# the interpolation expansion: the prefix table phi_alpha pairs on V
+
+def vacuum_expansion(t) -> list[tuple[RingElem, tuple[str, ...]]]:
+    """The tree's action on the vacuum vector: one term per prefix z, with
+    coefficient alpha^(leaves(z)-1) * beta^(inner leaves of z) attached to
+    the residual path words."""
+    return [
+        (RingElem.term(entry.tree.leaf_count - 1, entry.inner_leaves), entry.words)
+        for entry in subrooted_trees(t)
+    ]
+
 
 def test_phi_expansion_leaf():
-    assert phi_expansion(LEAF) == ((ONE, ("",)),)
+    assert vacuum_expansion(LEAF) == [(ONE, ("",))]
 
 
 def test_phi_expansion_full_tree():
     t = parse_tree("f3 f1 f1")
-    terms = {words: coeff for coeff, words in phi_expansion(t)}
+    terms = {words: coeff for coeff, words in vacuum_expansion(t)}
     a2b = ALPHA * ALPHA * BETA
     assert terms == {
         ("", "", "", ""): ALPHA**3,
@@ -190,21 +202,19 @@ def test_phi_expansion_is_isometric_on_vacuum():
     for text in (".", "f1", "f3 f1 f1", "f3 f3 f1 f1", "f4 f3 f2 f1"):
         t = parse_tree(text)
         total = RingElem()
-        for coeff, _ in phi_expansion(t):
+        for coeff, _ in vacuum_expansion(t):
             total = total + coeff * coeff
         assert total == ONE
         numeric = sum(
-            (coeff * coeff for coeff, _ in phi_expansion(t)), RingElem()
+            (coeff * coeff for coeff, _ in vacuum_expansion(t)), RingElem()
         ).eval(Fraction(1, 2))
         assert numeric == 1
 
 
 def test_window_tensor_agrees_with_expansion():
-    from forestrep.trees import enumerate_trees
-
     for n in range(1, 7):
         for t in enumerate_trees(n):
-            terms = phi_expansion(t)
+            terms = vacuum_expansion(t)
             R = word_window_tensor(w for _, words in terms for w in words)
             f = Forest((t,))
             for coeff, words in terms:
@@ -514,3 +524,23 @@ def test_vanishing_scan_contract():
         vanishing_scan(Fraction(1, 2), 20)
     with pytest.raises(ContractError):
         vanishing_scan(Fraction(3, 2), 3)
+
+
+def test_alpha_must_be_exact():
+    # Fraction() would take each of these, the float by its binary value
+    checks = {
+        "phi_alpha_eval": lambda a: phi_alpha_eval(builtin("g"), a),
+        "gram_psd_check": lambda a: gram_psd_check([builtin("g"), builtin("h")], a),
+        "vanishing_scan": lambda a: vanishing_scan(a, 3),
+    }
+    for where, check in checks.items():
+        for alpha in (0.5, "1/2", Decimal("0.5"), True):
+            message = f"{where}: alpha is a {type(alpha).__name__}, not an int"
+            with pytest.raises(ContractError, match=message):
+                check(alpha)
+        for alpha in (2, Fraction(-1, 3)):
+            with pytest.raises(ContractError, match=rf"{where}: alpha must lie in \[0, 1\]"):
+                check(alpha)
+        for alpha in (0, 1, Fraction(1, 3)):
+            check(alpha)
+    assert phi_alpha_eval(builtin("g"), 1) == 1

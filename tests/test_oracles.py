@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 
 import forestrep
-from forestrep.coefficients import RTensor
+from forestrep import oracles
 from forestrep.oracles import (
     REDUCTION_SAMPLE_CAP,
+    RTensor,
     check_cyclic_forest_lemma,
     check_partition_operator_agreement,
     check_reduction_soundness,
@@ -15,7 +16,7 @@ from forestrep.oracles import (
     check_vacuum_pairing,
     check_word_injectivity,
     forest_split_sequence,
-    operator_coefficient,
+    operator_apply,
     random_elements,
 )
 from forestrep.errors import ContractError
@@ -150,19 +151,39 @@ def test_forest_split_sequence_round_trip():
     assert rebuilt == f
 
 
-def test_operator_coefficient_direct():
-    R = RTensor((1,), {(1, 1, 1): Fraction(1)})
-    f = Forest((caret(LEAF, LEAF),))
-    assert operator_coefficient(f, R, (1,), (1, 1)) == 1
-
-
-def test_partition_operator_agreement_small():
-    R = RTensor(
+def two_symbol_tensor() -> RTensor:
+    return RTensor(
         (1, 2),
         {(1, 1, 1): Fraction(3, 5), (1, 2, 2): Fraction(4, 5), (2, 1, 2): Fraction(1)},
     )
-    report = check_partition_operator_agreement(R, 4)
+
+
+def test_operator_coefficient_direct():
+    R = RTensor((1,), {(1, 1, 1): Fraction(1)})
+    f = Forest((caret(LEAF, LEAF),))
+    assert operator_apply(f, R, (1,)) == {(1, 1): 1}
+
+
+def test_partition_operator_agreement_small():
+    report = check_partition_operator_agreement(two_symbol_tensor(), 4)
     assert report["violations"] == 0
+
+
+def test_partition_operator_agreement_detects_a_wrong_route(monkeypatch):
+    # scale one coefficient of the operator route: the state sums no longer
+    # agree with it on exactly the boundaries that coefficient sits on
+    honest = operator_apply
+
+    def skewed(f, R, in_idx):
+        table = honest(f, R, in_idx)
+        if f.root_count == 1 and f.leaf_count == 2 and in_idx == (1,):
+            table[(1, 1)] *= 2
+        return table
+
+    monkeypatch.setattr(oracles, "operator_apply", skewed)
+    report = check_partition_operator_agreement(two_symbol_tensor(), 3)
+    assert report["instances"] > 0
+    assert report["violations"] == 1
 
 
 def test_vacuum_pairing_small():

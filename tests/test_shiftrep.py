@@ -47,12 +47,12 @@ def rotation2() -> VElement:
 
 def random_unit(rng: random.Random) -> UnitVec:
     entries = {rng.randint(-4, 4): Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(3)}
-    return UnitVec.from_sparse(SparseVec(entries))
+    return UnitVec(SparseVec(entries))
 
 
 def materialised_window(h: int) -> UnitVec:
     """The indicator of {1, ..., h} written out entry by entry."""
-    return UnitVec.from_sparse(SparseVec({i: 1 for i in range(1, h + 1)}))
+    return UnitVec(SparseVec({i: 1 for i in range(1, h + 1)}))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +114,7 @@ def test_inner_shifts_matches_two_shifted_copies():
         u = random_unit(rng)
         for a in range(-3, 4):
             for b in range(-3, 4):
-                expected = u.vec.shift(a).dot(u.vec.shift(b)) / u.scale_sq
+                expected = u.vec.shift(a).dot(u.vec.shift(b)) / u.vec.norm_sq()
                 assert u.inner_shifts(a, b) == expected
 
 
@@ -123,10 +123,27 @@ def test_zero_vector_and_empty_window_refused():
     with pytest.raises(ContractError, match="zero vector"):
         kn_coefficient(0, [SparseVec({})], zeta(1))
     with pytest.raises(ContractError, match="zero vector"):
-        UnitVec.from_sparse(SparseVec({3: 0}))
+        UnitVec(SparseVec({3: 0}))
     for h in (0, -1):
         with pytest.raises(ContractError, match=f"window length {h} is below 1"):
             Indicator(h)
+
+
+def test_unit_vector_takes_its_norm_from_its_vector():
+    # the squared norm is the vector's own: there is no second argument to
+    # disagree with it, and a vector pairs alike bare or wrapped
+    with pytest.raises(TypeError):
+        UnitVec(SparseVec({1: 1}), Fraction(4))
+    rng = random.Random(31)
+    for v in [SparseVec({1: 1}), SparseVec({1: 2}), SparseVec({0: 1, 3: Fraction(-2, 3)})] + [
+        random_unit(rng).vec for _ in range(10)
+    ]:
+        assert UnitVec(v) == UnitVec(SparseVec(dict(v.entries)))
+        for n in (0, 1):
+            bare = kn_coefficient(n, [v] * 2**n, zeta(1))
+            assert kn_coefficient(n, [UnitVec(v)] * 2**n, zeta(1)) == bare
+        assert UnitVec(v).inner_shifts(0, 0) == 1
+    assert kn_coefficient(0, [UnitVec(SparseVec({1: 4}))], zeta(1)) == Fraction(1575, 2048)
 
 
 def test_shift_overlap_strictly_inside_unit():
@@ -147,7 +164,7 @@ def test_c_constant_zeta():
 
 
 def test_c_constant_point_mass():
-    delta = UnitVec(SparseVec({1: 1}), Fraction(1))
+    delta = UnitVec(SparseVec({1: 1}))
     assert c_constant(delta) == 0
     assert kn_coefficient(0, [delta], delta) == 0
 

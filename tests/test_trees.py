@@ -25,7 +25,6 @@ from forestrep.trees import (
     enumerate_trees,
     format_forest,
     format_tree,
-    format_words,
     graft,
     leaf_cells,
     merge_trees,
@@ -239,7 +238,6 @@ def test_path_words_examples():
     assert path_words(f) == ("aa", "ba", "b", "a", "b")
     assert path_words(caret(LEAF, LEAF)) == ("a", "b")
     assert path_words(trivial_forest(4)) == ("", "", "", "")
-    assert format_words(("aa", "", "b")) == "(aa, e, b)"
 
 
 def test_path_words_pairwise_distinct():
