@@ -24,12 +24,6 @@ from .coefficients import (
     vanishing_scan,
 )
 from .errors import ContractError, ParseError
-from .oracles import (
-    check_cyclic_forest_lemma,
-    check_reduction_soundness,
-    check_term_parity,
-    check_word_injectivity,
-)
 from .shiftrep import almost_invariance_report, c_constant, kn_coefficient, zeta
 from .thompson import (
     LEVEL_CAP,
@@ -276,6 +270,14 @@ def _cmd_kazhdan(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
+    # imported here: the other subcommands need no oracle
+    from .oracles import (
+        check_cyclic_forest_lemma,
+        check_reduction_soundness,
+        check_term_parity,
+        check_word_injectivity,
+    )
+
     # each check keeps its own default bound
     bound = () if args.bound is None else (args.bound,)
     if args.which == "word-injectivity":

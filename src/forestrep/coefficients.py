@@ -4,65 +4,236 @@
 family, an integer polynomial in alpha: on F and T the monomial
 alpha^(2n - 2) of a reduced pair with n leaves (the cyclic-forest lemma), on
 V the sum over the pairs of prefixes whose residual words match through the
-leaf bijection.  Beside it: the comparison with the exponential-decay
-family, exact PSD verdicts on Gram matrices and the decay table on rotation
-elements.  The tensor construction these coefficients come from, and the
-routes that check them, live in ``oracles``.
+leaf bijection, taken as a cover sum over closure classes of tree nodes on
+integer leaf cells without listing the prefixes.  Beside it: the comparison
+with the exponential-decay family, exact PSD verdicts on Gram matrices and
+the decay table on rotation elements.  The tensor construction these
+coefficients come from, the prefix enumeration and the other routes that
+check them live in ``oracles``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ContractError
 from .ring import RingElem
 from .thompson import Perm, VElement, inverse, multiply
-from .trees import caret_positions, enumerate_trees, subrooted_trees
+from .trees import caret_positions, enumerate_trees, leaf_cells
+
+
+def _exact(where: str, name: str, value) -> Fraction:
+    """value as a Fraction, from an int or a Fraction only: Fraction() would
+    also take a float's binary value, a string, a bool or a Decimal."""
+    if type(value) not in (int, Fraction):
+        raise ContractError(f"{where}: {name} is a {type(value).__name__}, not an int or a Fraction")
+    return Fraction(value)
 
 
 def _exact_alpha(where: str, alpha) -> Fraction:
-    """alpha as a Fraction in [0, 1], from an int or a Fraction only: Fraction()
-    would also take a float's binary value, a string or a Decimal."""
-    if type(alpha) not in (int, Fraction):
-        raise ContractError(f"{where}: alpha is a {type(alpha).__name__}, not an int or a Fraction")
+    """alpha as a Fraction in [0, 1], from an int or a Fraction only."""
+    alpha = _exact(where, "alpha", alpha)
     if not 0 <= alpha <= 1:
         raise ContractError(f"{where}: alpha must lie in [0, 1]")
-    return Fraction(alpha)
+    return alpha
+
+
+# the closure classes of g_2000 (4,000 leaves) take 8,003,996 leaf visits and
+# about 2.6 s on a shared 2-vCPU VM; the visits grow quadratically along
+# nested classes like those of g_N
+CLOSURE_VISIT_CAP = 10_000_000
+# 2^16 cover states, each holding a 17-term polynomial, take about 0.8 s and
+# 71 MiB on a shared 2-vCPU VM; the count can double with each class
+COVER_STATE_CAP = 100_000
 
 
 def phi_alpha(g: VElement) -> RingElem:
     """The diagonal vacuum coefficient of g as an exact polynomial in alpha.
 
     On F and T (the bijection is a rotation) it is alpha^(2n - 2) for the n
-    leaves of the reduced pair.  On V_only elements it sums over pairs of
-    prefixes (z of the range tree, r of the domain tree) whose residual words
-    match under the stored leaf bijection.  The result is always beta-free:
-    an odd beta power, whose term is positive on (0, 1) and so cannot cancel,
-    would be a computation bug and raises.
+    leaves of the reduced pair.  On V_only elements it is the closure-class
+    cover sum ``_class_sum``, which sums over the pairs of prefixes whose
+    residual words match under the leaf bijection without listing them.
+    The result is always beta-free: an odd beta power, whose term is
+    positive on (0, 1) and so cannot cancel, would be a computation bug and
+    raises.
     """
     if g.perm.rotation_offset() is not None:
         # cyclic-forest lemma: only the whole trees match; any other matched
         # prefix pair leaves a common caret under aligned leaves, which cancels
         return RingElem.term(farley_norm(g), 0)
-    range_terms = subrooted_trees(g.range)
-    domain_terms = subrooted_trees(g.domain)
-    lookup = {}
-    for entry in domain_terms:
-        lookup[g.perm.theta(entry.words)] = (entry.tree.leaf_count, entry.inner_leaves)
-    exponents: Counter = Counter()
-    for entry in range_terms:
-        hit = lookup.get(entry.words)
-        if hit is not None:
-            leaves_r, inner_r = hit
-            exponents[(entry.tree.leaf_count + leaves_r - 2, entry.inner_leaves + inner_r)] += 1
+    return _class_sum(g)
+
+
+def _class_sum(g: VElement) -> RingElem:
+    """Sum alpha^(leaves(z) + leaves(r) - 2) beta^(inner leaves of z and r)
+    over the prefix pairs (z of the range tree, r of the domain tree) whose
+    residual words match under the leaf bijection, on leaf cells.
+
+    Range leaf i and domain leaf perm.inv(i) form strand i.  A matched pair
+    cuts each strand at one height h: the cut nodes of z and r sit h levels
+    above the strand's two leaves, so h is at most both depths and the low h
+    bits of the two cell indices, the residual words, agree.  Cutting at a
+    range node fixes h on its leaves, hence the domain nodes cut above their
+    partners, hence h on the leaves of those, and so on: each range node
+    closes to a class of range and domain nodes, dropped when some strand
+    gets two heights or some node cannot be cut.  Leaf strands are the
+    trivial classes (two leaf nodes, alpha^2); a nontrivial class holds only
+    internal nodes and weighs (alpha beta)^(nodes).  A matched pair is a set
+    of classes whose range nodes cover the range leaves once (the state-sum
+    picture of Jones, arXiv:1412.7740), and the sum carries one alpha^-2.
+    """
+    range_cells, domain_cells = leaf_cells(g.range), leaf_cells(g.domain)
+    n = len(range_cells)
+    # the leaf at the other end of each range leaf's and domain leaf's strand
+    to_domain = [g.perm.inv(i) - 1 for i in range(1, n + 1)]
+    to_range = [v - 1 for v in g.perm.images]
+    top = []  # the largest cut height of each strand
+    for (c, d), j in zip(range_cells, to_domain):
+        c2, d2 = domain_cells[j]
+        diff = c ^ c2
+        top.append(min(d, d2, (diff & -diff).bit_length() - 1) if diff else min(d, d2))
+    range_nodes = _viable_nodes(range_cells, [d - h for (_, d), h in zip(range_cells, top)])
+    if len(range_nodes) == n:
+        # no internal range node can be cut: the whole trees are the only match
+        return RingElem.term(2 * n - 2, 0)
+    domain_nodes = _viable_nodes(domain_cells, [d - top[i] for (_, d), i in zip(domain_cells, to_range)])
+    # the closures below visit the leaves of each internal node at most once
+    visits = sum(hi - lo for table in (range_nodes, domain_nodes) for lo, hi in table.values()) - 2 * n
+    if visits > CLOSURE_VISIT_CAP:
+        raise ContractError(
+            f"phi_alpha: closing the classes of a {n}-leaf element takes up to {visits}"
+            f" leaf visits, over the cap of {CLOSURE_VISIT_CAP}"
+        )
+    # per side: the node table, the other side's, each leaf's depth and the
+    # cell at the other end of its strand
+    sides = (
+        (range_nodes, domain_nodes, [d for _, d in range_cells], [domain_cells[j] for j in to_domain]),
+        (domain_nodes, range_nodes, [d for _, d in domain_cells], [range_cells[i] for i in to_range]),
+    )
+    classes = []
+    seen = set()
+    for start, (lo, hi) in range_nodes.items():
+        if hi - lo == 1 or (0, start) in seen:
+            continue
+        # explore the whole class, conflicts included, so that each node is
+        # visited once; a strand cut at two heights shows as two nodes of one
+        # side sharing a leaf
+        seen.add((0, start))
+        work = [(0, start)]
+        masks = [0, 0]
+        conflict = False
+        nodes = 0
+        while work:
+            side, (c, e) = work.pop()
+            table, other_table, depths, ends = sides[side]
+            lo, hi = table[(c, e)]
+            bits = (1 << hi) - (1 << lo)
+            conflict = conflict or bool(masks[side] & bits)
+            masks[side] |= bits
+            nodes += 1
+            # the other side's node cut on each strand, d - e levels up
+            for key in {(c2 >> (d - e), d2 - d + e) for d, (c2, d2) in zip(depths[lo:hi], ends[lo:hi])}:
+                if key not in other_table:
+                    conflict = True
+                elif (1 - side, key) not in seen:
+                    seen.add((1 - side, key))
+                    work.append((1 - side, key))
+        if not conflict:
+            classes.append((nodes, masks[0]))
+    exponents = {
+        (2 * (n - strands) + nodes - 2, nodes): count
+        for (strands, nodes), count in _cover_counts(classes, n).items()
+    }
     if any(beta_exp % 2 for _, beta_exp in exponents):
         raise ArithmeticError(
             "phi_alpha: nonzero beta component; matched terms must absorb beta in pairs"
         )
     return RingElem.expand(exponents)
+
+
+def _viable_nodes(cells, floor) -> dict:
+    """{(index, depth): (first leaf, end leaf)} of the leaves and of the
+    internal nodes that can be cut: a node at depth e is viable when every
+    leaf below it has floor <= e, i.e. its strand can be cut e levels from
+    the root.  Built shift-reduce over the leaf cells, as trees._assemble
+    builds a tree."""
+    nodes = {}
+    stack: list[tuple[int, int, int, int]] = []
+    for k, ((c, d), low) in enumerate(zip(cells, floor)):
+        nodes[(c, d)] = (k, k + 1)
+        first = k
+        while stack and stack[-1][1] == d:
+            _, _, first, other = stack.pop()
+            c, d, low = c >> 1, d - 1, max(low, other)
+            if d >= low:
+                nodes[(c, d)] = (first, k + 1)
+        stack.append((c, d, first, low))
+    return nodes
+
+
+def _cover_counts(classes, n: int) -> dict[tuple[int, int], int]:
+    """{(strands, nodes): number of sets of pairwise disjoint classes}, from
+    (nodes, range leaf mask) per nontrivial class; the leaves they leave
+    uncovered are the trivial classes.
+
+    A memoised search without recursion: it takes the lowest uncovered leaf
+    that is the lowest leaf of some class, and either leaves it trivial or
+    covers it by one of those classes.  A state is the covered set cut down
+    to the leaves that later classes reach, so independent stretches share
+    their states; past COVER_STATE_CAP states it refuses.
+    """
+    width = 1 + sum(nodes for nodes, _ in classes)
+    options: dict[int, list[tuple[int, int]]] = {}
+    for nodes, mask in classes:
+        options.setdefault(mask & -mask, []).append((mask.bit_count() * width + nodes, mask))
+    decisions = sum(options)
+    reach = {}
+    later = 0
+    for low in sorted(options, reverse=True):
+        for _, mask in options[low]:
+            later |= mask
+        reach[low] = later
+
+    def state(covered: int) -> int:
+        free = decisions & ~covered
+        if not free:
+            return -1
+        low = free & -free
+        return (covered & reach[low]) | (low - 1)
+
+    # memo[state]: {strands * width + nodes: count} over the rest of the cover
+    memo = {-1: {0: 1}}
+    first = state(0)
+    stack = [first]
+    while stack:
+        covered = stack[-1]
+        if covered in memo:
+            stack.pop()
+            continue
+        low = ~covered & (covered + 1)
+        moves = [(0, state(covered | low))] + [
+            (weight, state(covered | mask)) for weight, mask in options[low] if not mask & covered
+        ]
+        pending = [after for _, after in moves if after not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if len(memo) >= COVER_STATE_CAP:
+            raise ContractError(
+                f"phi_alpha: the cover sum of a {n}-leaf element visits more than"
+                f" the cap of {COVER_STATE_CAP} states"
+            )
+        total = dict(memo[moves[0][1]])
+        for weight, after in moves[1:]:
+            for key, count in memo[after].items():
+                key += weight
+                total[key] = total.get(key, 0) + count
+        memo[covered] = total
+    return {divmod(key, width): count for key, count in memo[first].items()}
 
 
 def phi_alpha_eval(g: VElement, alpha) -> Fraction:
@@ -89,7 +260,7 @@ def farley_norm(g: VElement) -> int:
 
 
 def farley_phi(g: VElement, beta) -> FarleyPhi:
-    beta = Fraction(beta)
+    beta = _exact("farley_phi", "decay rate", beta)
     if beta < 0:
         raise ContractError("farley_phi: decay rate must be >= 0")
     return FarleyPhi(beta, farley_norm(g))
@@ -100,8 +271,9 @@ def farley_matches_phi(g: VElement) -> bool:
     polynomial, i.e. whether the exponential-decay family sees g the same way.
 
     On F and T this restates the closed form phi_alpha returns there, so only
-    V_only elements can differ; the closed form itself is checked against
-    prefix-pair enumeration (``_enumerated_phi`` in tests/test_coefficients.py).
+    V_only elements can differ; the tests check the closed form against
+    prefix-pair enumeration (``oracles.enumerated_phi``) and against
+    ``_class_sum`` called past the closed form.
     """
     return phi_alpha(g) == RingElem.term(farley_norm(g), 0)
 
@@ -128,7 +300,7 @@ def psd_ldlt(matrix) -> GramResult:
     beside a zero pivot), or a zero pivot alongside a nonzero residual
     off-diagonal entry, refutes PSD and is the witness, with its rational value.
     """
-    rows = [[Fraction(v) for v in row] for row in matrix]
+    rows = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ContractError("psd_ldlt: the matrix is not square")
@@ -241,8 +413,9 @@ def vanishing_scan(alpha, max_leaves: int) -> list[VanishRow]:
     column records the largest absolute difference actually observed, and
     ``values`` keeps each (element, value) pair in enumeration order.  Since
     phi_alpha returns that closed form on rotation pairs, the deviation
-    restates it and reads 0; the independent check is prefix-pair enumeration
-    (``_enumerated_phi`` in tests/test_coefficients.py).
+    restates it and reads 0; the independent checks are prefix-pair
+    enumeration (``oracles.enumerated_phi``) and ``_class_sum`` called past
+    the closed form, in the tests.
     """
     alpha = _exact_alpha("vanishing_scan", alpha)
     if max_leaves < 0:

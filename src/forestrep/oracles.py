@@ -7,7 +7,9 @@ the keys ``check``, ``instances`` and ``violations``.  ``refine`` and
 cells the library computes on; the tests use them as references too.
 The tensor construction the coefficients come from (Jones, arXiv:1412.7740)
 is kept here as a reference: ``RTensor``, its state sum ``partition_function``
-and the windowed interpolation tensor ``word_window_tensor``.
+and the windowed interpolation tensor ``word_window_tensor``.  So is
+``enumerated_phi``, phi_alpha by listing the prefix pairs that the library's
+closure-class cover sum counts without listing.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .trees import (
     graft,
     path_words,
     split_sequence,
+    subrooted_trees,
 )
 
 
@@ -296,6 +299,25 @@ def check_reduction_soundness(samples: int = 500, seed: int = 42) -> dict:
         "instances": samples,
         "violations": violations,
     }
+
+
+# ---------------------------------------------------------------------------
+# prefix enumeration
+
+def enumerated_phi(g: VElement) -> RingElem:
+    """phi_alpha(g) by listing prefixes: every prefix z of the range tree
+    meets every prefix r of the domain tree whose residual words match under
+    the leaf bijection, and the pair adds alpha^(leaves(z) + leaves(r) - 2)
+    beta^(inner leaves of z and r).  The tables grow doubly exponentially
+    with the tree depth; subrooted_trees refuses one past PREFIX_TABLE_CAP."""
+    domain_terms: dict[tuple[str, ...], list] = {}
+    for entry in subrooted_trees(g.domain):
+        domain_terms.setdefault(g.perm.theta(entry.words), []).append(entry)
+    exponents: Counter = Counter()
+    for z in subrooted_trees(g.range):
+        for r in domain_terms.get(z.words, ()):
+            exponents[(z.tree.leaf_count + r.tree.leaf_count - 2, z.inner_leaves + r.inner_leaves)] += 1
+    return RingElem.expand(exponents)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ from typing import NamedTuple
 from .errors import ContractError, ParseError
 
 ENUM_LEAF_CAP = 12
-# the prefix table of either tree of g_100 (200 leaves); phi_alpha(g_100) takes
-# about 0.3 s and 35 MiB on a shared 2-vCPU VM
+# the prefix table of either tree of g_100 (200 leaves): the reference
+# oracles.enumerated_phi(g_100) takes about 0.5 s and a 51 MiB peak on a
+# shared 2-vCPU VM; phi_alpha itself lists no prefixes
 PREFIX_TABLE_CAP = 36_330_498
 
 

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
+from forestrep import coefficients
 from forestrep.cli import SWEEP_FIELDS, _int_text, main
 from forestrep.shiftrep import almost_invariance, invariance_bound
 from forestrep.thompson import builtin, family_kn, format_element_literal, parse_element_literal
@@ -112,9 +117,10 @@ def test_deep_inputs(capsys):
     assert Fraction(num, den) == almost_invariance(parse_element_literal(combs), 3) != 0
 
 
-def test_oversized_prefix_tables_are_refused(capsys):
-    # prefix tables are built only for V_only elements; F and T take the
-    # closed form alpha^(2n - 2), whatever their prefix tables would weigh
+def test_large_elements_need_no_prefix_tables(capsys):
+    # F and T take the closed form alpha^(2n - 2), V_only elements the
+    # closure-class cover sum; neither lists prefixes, whose tables for
+    # g_500 would hold 21,208,252,498 entries
     left = " ".join(["f1"] * 2000)
     right = " ".join(f"f{i}" for i in range(2000, 0, -1))
     for element, poly in (
@@ -128,9 +134,31 @@ def test_oversized_prefix_tables_are_refused(capsys):
         assert time.perf_counter() - start < 10
     start = time.perf_counter()
     code, out, err = run(capsys, "phi", "--element", "g_500", "--alpha", "1/2")
-    assert code == 1 and out == "" and err.count("\n") == 1
-    assert "table of 21208252498 entries" in err
+    assert code == 0 and out.count("\n") == 1 and err == ""
+    assert Fraction(out) > Fraction(9, 64)
     assert time.perf_counter() - start < 10
+
+
+def test_cover_sum_refusals(capsys, monkeypatch):
+    # g_10000's nested classes would take about 2 * 10^8 leaf visits: refused
+    # before any closure is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "phi", "--element", "g_10000", "--symbolic")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert "leaf visits, over the cap of 10000000" in err
+    assert time.perf_counter() - start < 10
+    monkeypatch.setattr(coefficients, "COVER_STATE_CAP", 1)
+    code, out, err = run(capsys, "phi", "--element", "g_40", "--symbolic")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert "the cover sum of a 80-leaf element visits more than the cap of 1 states" in err
+
+
+def test_cli_import_leaves_oracles_unloaded():
+    code = "import sys, forestrep.cli; print('forestrep.oracles' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_oversized_gn_is_refused(capsys):

@@ -7,8 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from forestrep import coefficients
 from forestrep.coefficients import (
     GramResult,
+    _class_sum,
+    _cover_counts,
     farley_matches_phi,
     farley_norm,
     farley_phi,
@@ -21,6 +24,7 @@ from forestrep.coefficients import (
 from forestrep.errors import ContractError
 from forestrep.oracles import (
     RTensor,
+    enumerated_phi,
     operator_apply,
     partition_function,
     random_elements,
@@ -45,6 +49,7 @@ from forestrep.trees import (
     LEAF,
     Forest,
     caret,
+    complete_tree,
     enumerate_forests,
     enumerate_trees,
     parse_tree,
@@ -294,32 +299,85 @@ def test_phi_alpha_representative_independent():
         assert phi_alpha(VElement(*raw)) == phi_alpha(g)
 
 
-def _enumerated_phi(domain, range_, perm) -> RingElem:
-    """Reference: pair every prefix of the range with every prefix of the
-    domain whose residual words match under the bijection."""
-    domain_terms = {}
-    for entry in subrooted_trees(domain):
-        domain_terms.setdefault(perm.theta(entry.words), []).append(entry)
-    exponents: Counter = Counter()
-    for z in subrooted_trees(range_):
-        for r in domain_terms.get(z.words, ()):
-            leaves = z.tree.leaf_count + r.tree.leaf_count - 2
-            exponents[(leaves, z.inner_leaves + r.inner_leaves)] += 1
-    return RingElem.expand(exponents)
-
-
 def test_phi_alpha_matches_enumeration_on_small_rotation_pairs():
     elements = list(reduced_rotation_elements(6))
     assert len(elements) == 6964
     for g in elements:
-        assert phi_alpha(g) == _enumerated_phi(g.domain, g.range, g.perm)
+        assert phi_alpha(g) == enumerated_phi(g)
+
+
+def test_class_sum_gives_the_closed_form_on_rotation_pairs():
+    # the cover sum, called past the rotation fast path, knows nothing of the
+    # cyclic-forest lemma: an independent check of it
+    for g in reduced_rotation_elements(6):
+        assert _class_sum(g) == RingElem.term(2 * g.leaf_count - 2, 0)
 
 
 def test_phi_alpha_matches_enumeration_on_words():
-    elements = [g for g in random_elements(400, 8, seed=5) if classify(g) != V_ONLY]
-    assert {classify(g) for g in elements} == {F, T_ONLY} and len(elements) > 100
+    elements = random_elements(400, 8, seed=5)
+    assert {classify(g) for g in elements} == {F, T_ONLY, V_ONLY}
+    assert sum(classify(g) == V_ONLY for g in elements) > 100
     for g in elements:
-        assert phi_alpha(g) == _enumerated_phi(g.domain, g.range, g.perm)
+        assert phi_alpha(g) == enumerated_phi(g)
+
+
+def test_phi_alpha_matches_enumeration_on_families():
+    for n in range(2, 41):
+        assert phi_alpha(family_gn(n)) == enumerated_phi(family_gn(n))
+    rng = random.Random(17)
+    for level in (3, 4):
+        t = complete_tree(level)
+        for _ in range(20):
+            images = list(range(1, 2**level + 1))
+            rng.shuffle(images)
+            g = VElement(t, t, Perm(images))
+            assert phi_alpha(g) == enumerated_phi(g)
+
+
+def _disjoint_subsets(classes) -> Counter:
+    """Reference for _cover_counts: every subset of pairwise disjoint classes."""
+    out: Counter = Counter()
+    for r in range(len(classes) + 1):
+        for chosen in itertools.combinations(classes, r):
+            covered = 0
+            for _, mask in chosen:
+                if covered & mask:
+                    break
+                covered |= mask
+            else:
+                out[(bin(covered).count("1"), sum(nodes for nodes, _ in chosen))] += 1
+    return out
+
+
+def test_cover_counts_match_subset_enumeration():
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        classes = [(rng.choice((4, 6, 8)), rng.randrange(1, 1 << n)) for _ in range(rng.randint(0, 8))]
+        assert _cover_counts(classes, n) == _disjoint_subsets(classes)
+
+
+def test_cover_counts_share_states_across_independent_stretches():
+    # 60 classes on disjoint pairs of leaves, crossing: 2^60 subsets, but
+    # each stretch forgets the leaves no later class reaches
+    m = 30
+    classes = [(4, 1 << j | 1 << (2 * m - 1 - j)) for j in range(m)]
+    classes += [(4, 3 << (2 * m + 2 * j)) for j in range(m)]
+    counts = _cover_counts(classes, 4 * m)
+    assert sum(counts.values()) == 2 ** (2 * m)
+    assert counts[(4 * m, 8 * m)] == 1
+
+
+def test_cover_counts_refuse_past_the_state_cap(monkeypatch):
+    # X_j = {j, m + 2j} and Y_j = {m + 2j, m + 2j + 1}: the Y stretch must
+    # remember which X classes were taken, 2^m states
+    m = 12
+    classes = [(4, 1 << j | 1 << (m + 2 * j)) for j in range(m)]
+    classes += [(4, 3 << (m + 2 * j)) for j in range(m)]
+    assert sum(_cover_counts(classes, 3 * m).values()) == 3**m
+    monkeypatch.setattr(coefficients, "COVER_STATE_CAP", 2**m)
+    with pytest.raises(ContractError, match="cap of 4096 states"):
+        _cover_counts(classes, 3 * m)
 
 
 def test_phi_alpha_kn_is_pure_power():
@@ -343,6 +401,14 @@ def test_farley_norm_and_match():
     assert not farley_matches_phi(remark_element())
     with pytest.raises(ContractError):
         farley_phi(g, Fraction(-1))
+
+
+def test_farley_decay_rate_must_be_exact():
+    g = builtin("g")
+    for beta in (0.1, "1/2", True):
+        with pytest.raises(ContractError, match="decay rate is a"):
+            farley_phi(g, beta)
+    assert farley_phi(g, 2).beta == 2 and farley_phi(g, Fraction(1, 3)).beta == Fraction(1, 3)
 
 
 def test_farley_matches_on_rotation_pairs():
