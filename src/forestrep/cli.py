@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
@@ -41,11 +42,24 @@ from .thompson import (
 SWEEP_FIELDS = ["element_id", "n_leaves", "alpha_num", "alpha_den", "phi_num", "phi_den"]
 
 
+# Fraction() builds 10^|e| for an exponent e, which takes seconds past a
+# million digits; int() already refuses a literal of more than 4,300 digits,
+# so an exponent of more than 4,300 characters is over the cap too
+_EXPONENT_CAP = 4300
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)")
+# the longest literal an error message echoes whole
+_ECHO_CHARS = 40
+
+
 def _parse_fraction(text: str) -> Fraction:
+    shown = repr(text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "...")
+    m = _EXPONENT.search(text)
+    if m and (len(m[1]) > _EXPONENT_CAP or int(m[1]) > _EXPONENT_CAP):
+        raise ParseError(f"bad rational literal {shown}: exponent magnitude above {_EXPONENT_CAP}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {text!r}") from exc
+        raise ParseError(f"bad rational literal {shown}") from exc
 
 
 def _read_text(path: str) -> str:

@@ -26,8 +26,11 @@ from .trees import caret_positions, enumerate_trees, leaf_cells
 
 def _exact(where: str, name: str, value) -> Fraction:
     """value as a Fraction, from an int or a Fraction only: Fraction() would
-    also take a float's binary value, a string, a bool or a Decimal."""
-    if type(value) not in (int, Fraction):
+    also take a float's binary value, a string, a bool or a Decimal.  A
+    Fraction is returned as it is."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is not int:
         raise ContractError(f"{where}: {name} is a {type(value).__name__}, not an int or a Fraction")
     return Fraction(value)
 
@@ -35,7 +38,8 @@ def _exact(where: str, name: str, value) -> Fraction:
 def _exact_alpha(where: str, alpha) -> Fraction:
     """alpha as a Fraction in [0, 1], from an int or a Fraction only."""
     alpha = _exact(where, "alpha", alpha)
-    if not 0 <= alpha <= 1:
+    # the denominator is positive, so this is 0 <= alpha <= 1 on integers
+    if not 0 <= alpha.numerator <= alpha.denominator:
         raise ContractError(f"{where}: alpha must lie in [0, 1]")
     return alpha
 

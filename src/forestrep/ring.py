@@ -17,6 +17,8 @@ from .errors import ContractError
 
 
 def _trim(coeffs) -> tuple[int, ...]:
+    if type(coeffs) is tuple and (not coeffs or coeffs[-1]):
+        return coeffs
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -65,6 +67,8 @@ class RingElem:
     @classmethod
     def term(cls, alpha_exp: int, beta_exp: int) -> "RingElem":
         """alpha^i * beta^j in normal form."""
+        if beta_exp == 0 and alpha_exp >= 0:
+            return cls((0,) * alpha_exp + (1,))
         return cls.expand({(alpha_exp, beta_exp): 1})
 
     @classmethod
@@ -147,12 +151,13 @@ class RingElem:
             raise ContractError("alpha_coefficients: element has a beta component")
         return self.p
 
-    def eval(self, alpha: Fraction) -> Fraction:
-        """Exact value at a rational alpha = n/d; defined only for beta-free elements.
+    def eval(self, alpha: int | Fraction) -> Fraction:
+        """Exact value at a rational alpha = n/d, given as an int or a Fraction
+        (only an int is wrapped); defined only for beta-free elements.
         Horner in integers gives sum c_k n^k d^(deg-k), over d^deg at the end."""
         if self.q:
             raise ContractError("eval: element has a beta component")
-        n, d = Fraction(alpha).as_integer_ratio()
+        n, d = (alpha if type(alpha) is Fraction else Fraction(alpha)).as_integer_ratio()
         top, scale = 0, 1
         for c in reversed(self.p):
             top = top * n + c * scale

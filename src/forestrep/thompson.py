@@ -104,12 +104,13 @@ class Perm:
         return tuple(map(seq.__getitem__, self._inv))
 
     def is_identity(self) -> bool:
-        return all(v == k for k, v in enumerate(self.images, 1))
+        return self.images == tuple(range(1, len(self.images) + 1))
 
     def rotation_offset(self) -> int | None:
-        """The c with images[k] = ((k-1+c) mod n)+1, or None if not a rotation."""
+        """The c with images[k] = ((k-1+c) mod n)+1, or None if not a rotation:
+        the images run c+1, ..., n and then 1, ..., c."""
         n, c = self.size, self.images[0] - 1
-        return c if all(v == (k + c) % n + 1 for k, v in enumerate(self.images)) else None
+        return c if self.images == (*range(c + 1, n + 1), *range(1, c + 1)) else None
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images

@@ -153,12 +153,49 @@ def test_cover_sum_refusals(capsys, monkeypatch):
     assert "the cover sum of a 80-leaf element visits more than the cap of 1 states" in err
 
 
+def _subprocess_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_import_leaves_oracles_unloaded():
     code = "import sys, forestrep.cli; print('forestrep.oracles' in sys.modules)"
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True)
     assert proc.stdout == "False\n"
+
+
+def test_exponent_literals_are_refused_up_front():
+    # Fraction("1e-99999999") would build 10^99999999 before any check
+    env = _subprocess_env()
+    huge = "1e-" + "9" * 5000
+    commands = [
+        ["phi", "--element", "g", "--alpha", "1e-99999999"],
+        ["phi", "--element", "g", "--alpha", "1E+4301"],
+        ["phi", "--element", "g", "--alpha", huge],
+        ["sweep", "--element", "g", "--alphas", "1/2,1e-99999999"],
+        ["farley", "--element", "g", "--beta", "1e-99999999"],
+    ]
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "forestrep.cli", *argv], env=env, capture_output=True, text=True, timeout=10
+        )
+        assert proc.returncode == 2 and proc.stdout == "" and proc.stderr.count("\n") == 1
+        assert "exponent magnitude above 4300" in proc.stderr
+        assert len(proc.stderr) < 120
+    proc = subprocess.run(
+        [sys.executable, "-m", "forestrep.cli", "phi", "--element", "g", "--alpha", "1/" + "3" * 5000],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 2 and proc.stderr.count("\n") == 1 and len(proc.stderr) < 120
+
+
+def test_exponent_literals_within_the_bound(capsys):
+    code, out, _ = run(capsys, "phi", "--element", "(f1 f1)/(f2 f1)", "--alpha", "1e-4300")
+    assert code == 0 and out.strip() == f"1/1{'0' * 17200}"
+    code, out, _ = run(capsys, "sweep", "--element", "g", "--alphas", "5e-1,0.25E0")
+    rows = [line.split(",")[-4:] for line in out.splitlines()[1:]]
+    assert code == 0 and rows == [["1", "2", "1", "256"], ["1", "4", "1", "65536"]]
 
 
 def test_oversized_gn_is_refused(capsys):

@@ -12,6 +12,7 @@ from forestrep.coefficients import (
     GramResult,
     _class_sum,
     _cover_counts,
+    _exact_alpha,
     farley_matches_phi,
     farley_norm,
     farley_phi,
@@ -306,6 +307,15 @@ def test_phi_alpha_matches_enumeration_on_small_rotation_pairs():
         assert phi_alpha(g) == enumerated_phi(g)
 
 
+def test_phi_alpha_eval_on_small_rotation_pairs():
+    # alpha^(2n - 2) as Fraction powers, apart from the ring and its Horner
+    elements = list(reduced_rotation_elements(6))
+    assert len(elements) == 6964
+    for alpha in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3)):
+        for g in elements:
+            assert phi_alpha_eval(g, alpha) == alpha ** (2 * len(g.perm.images) - 2)
+
+
 def test_class_sum_gives_the_closed_form_on_rotation_pairs():
     # the cover sum, called past the rotation fast path, knows nothing of the
     # cyclic-forest lemma: an independent check of it
@@ -592,6 +602,10 @@ def test_vanishing_scan_contract():
         vanishing_scan(Fraction(3, 2), 3)
 
 
+class _FractionSubclass(Fraction):
+    pass
+
+
 def test_alpha_must_be_exact():
     # Fraction() would take each of these, the float by its binary value
     checks = {
@@ -600,7 +614,7 @@ def test_alpha_must_be_exact():
         "vanishing_scan": lambda a: vanishing_scan(a, 3),
     }
     for where, check in checks.items():
-        for alpha in (0.5, "1/2", Decimal("0.5"), True):
+        for alpha in (0.5, "1/2", Decimal("0.5"), True, _FractionSubclass(1, 2)):
             message = f"{where}: alpha is a {type(alpha).__name__}, not an int"
             with pytest.raises(ContractError, match=message):
                 check(alpha)
@@ -610,3 +624,7 @@ def test_alpha_must_be_exact():
         for alpha in (0, 1, Fraction(1, 3)):
             check(alpha)
     assert phi_alpha_eval(builtin("g"), 1) == 1
+    # a Fraction passes through unwrapped; an int becomes one
+    third = Fraction(1, 3)
+    assert _exact_alpha("phi_alpha_eval", third) is third
+    assert type(_exact_alpha("phi_alpha_eval", 1)) is Fraction

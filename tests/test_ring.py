@@ -30,6 +30,10 @@ def test_term_constructor():
     for exponents in ((-1, 0), (0, -2)):
         with pytest.raises(ContractError):
             RingElem.term(*exponents)
+    # term builds beta-free monomials directly; expand is the general route
+    for i in range(41):
+        for j in range(7):
+            assert RingElem.term(i, j) == RingElem.expand({(i, j): 1})
 
 
 def test_arithmetic_identities():
@@ -48,6 +52,10 @@ def test_eval():
     assert poly.eval(Fraction(1, 2)) == Fraction(10, 64)
     assert poly.eval(Fraction(0)) == 0
     assert poly.eval(Fraction(1)) == 1
+    # an int is wrapped, a Fraction taken as it is: the same value either way
+    for alpha in (0, 1):
+        assert poly.eval(alpha) == poly.eval(Fraction(alpha))
+        assert type(poly.eval(alpha)) is Fraction
     with pytest.raises(ContractError):
         BETA.eval(Fraction(1, 2))
 
@@ -93,3 +101,7 @@ def test_hash_consistency():
     a = RingElem.term(2, 2)
     b = (ONE - ALPHA * ALPHA) * ALPHA * ALPHA
     assert a == b and hash(a) == hash(b)
+    # trailing zeros are trimmed, from tuples and other iterables alike
+    a, b = RingElem((1, 0, 0)), RingElem((1,))
+    assert a == b and hash(a) == hash(b) and a.p == (1,)
+    assert RingElem((0, 0), [0, 2, 0]) == RingElem((), (0, 2))

@@ -81,6 +81,7 @@ def test_perm_basics():
         rotations = {Perm.rotation(n, c): c for c in range(n)}
         for images in itertools.permutations(range(1, n + 1)):
             assert Perm(images).rotation_offset() == rotations.get(Perm(images))
+            assert Perm(images).is_identity() == all(v == k for k, v in enumerate(images, 1))
     with pytest.raises(ContractError):
         Perm((1, 1, 2))
     with pytest.raises(ContractError):
