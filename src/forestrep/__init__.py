@@ -5,7 +5,6 @@ from .coefficients import (
     FarleyPhi,
     GramResult,
     VanishRow,
-    farley_matches_phi,
     farley_norm,
     farley_phi,
     gram_psd_check,
@@ -46,25 +45,13 @@ from .thompson import (
 )
 from .trees import (
     LEAF,
-    Forest,
-    Subrooted,
     Tree,
     caret,
     complete_tree,
-    compose,
-    elementary_forest,
-    enumerate_forests,
     enumerate_trees,
-    format_forest,
     format_tree,
-    graft,
     merge_trees,
-    parse_forest,
     parse_tree,
-    path_words,
-    residual_forest,
-    subrooted_trees,
-    trivial_forest,
 )
 
 __version__ = "0.1.0"

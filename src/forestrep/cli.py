@@ -16,7 +16,6 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 
 from .coefficients import (
-    farley_matches_phi,
     farley_norm,
     farley_phi,
     gram_psd_check,
@@ -24,7 +23,8 @@ from .coefficients import (
     phi_alpha_eval,
     vanishing_scan,
 )
-from .errors import ContractError, ParseError
+from .errors import ContractError, ParseError, _echo
+from .ring import RingElem
 from .shiftrep import almost_invariance_report, c_constant, kn_coefficient, zeta
 from .thompson import (
     LEVEL_CAP,
@@ -47,12 +47,10 @@ SWEEP_FIELDS = ["element_id", "n_leaves", "alpha_num", "alpha_den", "phi_num", "
 # so an exponent of more than 4,300 characters is over the cap too
 _EXPONENT_CAP = 4300
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)")
-# the longest literal an error message echoes whole
-_ECHO_CHARS = 40
 
 
 def _parse_fraction(text: str) -> Fraction:
-    shown = repr(text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "...")
+    shown = _echo(text)
     m = _EXPONENT.search(text)
     if m and (len(m[1]) > _EXPONENT_CAP or int(m[1]) > _EXPONENT_CAP):
         raise ParseError(f"bad rational literal {shown}: exponent magnitude above {_EXPONENT_CAP}")
@@ -171,7 +169,12 @@ def _cmd_element(args, out) -> int:
         if args.at is None:
             raise ContractError("element eval: --at is required")
         y = eval_pl(elems[0], parse_dyadic(args.at))
-        print(repr(float(y)) if args.float else str(y), file=out)
+        if args.float:
+            text = repr(float(y))
+        else:
+            # as str(Fraction) writes it, at any size
+            text = _int_text(y.numerator) if y.denominator == 1 else _show_fraction(y)
+        print(text, file=out)
     return 0
 
 
@@ -245,9 +248,13 @@ def _cmd_gram(args, out) -> int:
 def _cmd_farley(args, out) -> int:
     g = _load_element(args.element)
     decay = None if args.beta is None else farley_phi(g, _parse_fraction(args.beta))
-    print(f"norm_sq={farley_norm(g)}", file=out)
-    print(f"phi_alpha={phi_alpha(g)}", file=out)
-    verdict = "matches" if farley_matches_phi(g) else "differs"
+    norm = farley_norm(g)
+    print(f"norm_sq={norm}", file=out)
+    poly = phi_alpha(g)
+    print(f"phi_alpha={poly}", file=out)
+    # the exponential-decay family sees g as phi_alpha does when phi_alpha(g)
+    # is the pure monomial alpha^(2n-2)
+    verdict = "matches" if poly == RingElem.term(norm, 0) else "differs"
     print(f"exponential-family={verdict}", file=out)
     if decay is not None:
         print(f"decay=exp(-{decay.beta})^{decay.exponent}", file=out)

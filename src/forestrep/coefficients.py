@@ -270,18 +270,6 @@ def farley_phi(g: VElement, beta) -> FarleyPhi:
     return FarleyPhi(beta, farley_norm(g))
 
 
-def farley_matches_phi(g: VElement) -> bool:
-    """Whether phi_alpha(g) equals the pure monomial alpha^(2n-2) as a
-    polynomial, i.e. whether the exponential-decay family sees g the same way.
-
-    On F and T this restates the closed form phi_alpha returns there, so only
-    V_only elements can differ; the tests check the closed form against
-    prefix-pair enumeration (``oracles.enumerated_phi``) and against
-    ``_class_sum`` called past the closed form.
-    """
-    return phi_alpha(g) == RingElem.term(farley_norm(g), 0)
-
-
 # ---------------------------------------------------------------------------
 # positive semidefiniteness, exactly
 

@@ -9,7 +9,10 @@ The tensor construction the coefficients come from (Jones, arXiv:1412.7740)
 is kept here as a reference: ``RTensor``, its state sum ``partition_function``
 and the windowed interpolation tensor ``word_window_tensor``.  So is
 ``enumerated_phi``, phi_alpha by listing the prefix pairs that the library's
-closure-class cover sum counts without listing.
+closure-class cover sum counts without listing.  The forest enumeration,
+path words and the exact equality of piecewise-linear maps that these
+checks use are kept here too: the library computes on leaf cells and uses
+none of them.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from typing import Iterable
 
 from .coefficients import phi_alpha
@@ -28,7 +32,7 @@ from .thompson import (
     VElement,
     family_gn,
     multiply,
-    pl_maps_equal,
+    pl_value,
     standard_generators,
 )
 from .trees import (
@@ -36,16 +40,64 @@ from .trees import (
     Forest,
     Tree,
     _prefixes,
+    _trees_by_size,
     caret_positions,
     collapse_caret,
-    enumerate_forests,
     enumerate_trees,
     fold_tree,
     graft,
-    path_words,
+    leaf_cells,
     split_sequence,
     subrooted_trees,
 )
+
+
+def enumerate_forests(m: int) -> tuple[Forest, ...]:
+    """All forests with m leaves (any number of roots), deterministic order:
+    by the first tree's leaf count, then the first tree, then the rest."""
+    trees = _trees_by_size("enumerate_forests", m)
+    shapes: list[list[tuple[Tree, ...]]] = [[()]]
+    for size in range(1, m + 1):
+        shapes.append(
+            [
+                (first,) + rest
+                for k in range(1, size + 1)
+                for first in trees[k]
+                for rest in shapes[size - k]
+            ]
+        )
+    return tuple(Forest(shape) for shape in shapes[m])
+
+
+def path_words(f: Forest | Tree) -> tuple[str, ...]:
+    """Root-to-leaf turn words over {a, b}, one per leaf.
+
+    A left turn contributes 'a', a right turn 'b'; the letter for the turn
+    nearest the leaf is written first, so the first turn taken is the
+    rightmost character.  The empty word is the trivial path.  These are the
+    bits of each leaf cell's index, lowest first.
+    """
+    trees = (f,) if isinstance(f, Tree) else f.trees
+    return tuple(
+        "".join("ab"[index >> k & 1] for k in range(depth))
+        for t in trees
+        for index, depth in leaf_cells(t)
+    )
+
+
+def pl_maps_equal(a, b) -> bool:
+    """Exact equality of two piecewise-linear maps given as raw triples.
+
+    Between consecutive cell starts of either domain both maps are affine, so
+    they agree there exactly when they agree at the left end and the midpoint.
+    """
+    starts = {Fraction(i, 1 << d) for t in (a[0], b[0]) for i, d in leaf_cells(t)}
+    cuts = sorted(starts | {Fraction(1)})
+    for lo, hi in zip(cuts, cuts[1:]):
+        for x in (lo, (lo + hi) / 2):
+            if pl_value(*a, x) != pl_value(*b, x):
+                return False
+    return True
 
 
 def _catalan(n: int) -> int:

@@ -163,9 +163,9 @@ def kn_coefficient(n: int, xi: Sequence, zeta_vec) -> Fraction:
     return total
 
 
-def _overlap(g: VElement, m: int) -> tuple[Fraction, int]:
-    """The overlap <pi(g) xi_m, xi_m> and the depth of g's range tree once
-    refined so that its domain contains the level-m tree.
+def _overlap(g: VElement, m: int) -> tuple[Fraction, int, int]:
+    """The overlap <pi(g) xi_m, xi_m> and the depths of g's domain and range
+    trees once refined so that the domain contains the level-m tree.
 
     Over the merge W of g's domain and the level tree, the reference vector
     has on W's leaf cell (i, d) zeta shifted by p = min(left_run(i, d), d - m),
@@ -183,17 +183,18 @@ def _overlap(g: VElement, m: int) -> tuple[Fraction, int]:
     g_range = leaf_cells(g.range)
     moved = moved_below(w_cells, leaf_cells(g.domain), [g_range[a - 1] for a in g.perm.images])
     pairs = []
-    depth = 0
+    domain_depth = range_depth = 0
     for (c, e), (i, d) in zip((cell for group in moved for cell in group), w_cells):
         p = min(left_run(i, d), d - m)
-        depth = max(depth, e)
+        domain_depth = max(domain_depth, d)
+        range_depth = max(range_depth, e)
         if e >= m:
             pairs.append((p, min(left_run(c, e), e - m)))
         else:
             k = m - e
             pairs.append((k + p, 0))
             pairs += [(left_run(r, k), 0) for r in range(1, 1 << k)]
-    return _pairing(zeta(m), pairs), depth
+    return _pairing(zeta(m), pairs), domain_depth, range_depth
 
 
 def almost_invariance(g: VElement, m: int) -> Fraction:
@@ -215,12 +216,12 @@ def invariance_bound(m: int) -> Fraction:
 def almost_invariance_report(g: VElement, m: int) -> dict:
     """Coefficient, bound and the depth condition under which the bound is
     guaranteed (domain no deeper than m once refined, range no deeper than 2m)."""
-    value, range_depth = _overlap(g, m)
+    value, domain_depth, range_depth = _overlap(g, m)
     ref = invariance_bound(m)
     return {
         "m": m,
         "coefficient": value,
         "bound": ref,
         "satisfied": value >= ref,
-        "within_depth": g.domain.depth <= m and range_depth <= 2 * m,
+        "within_depth": domain_depth <= m and range_depth <= 2 * m,
     }

@@ -21,15 +21,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
-from .errors import ContractError, ParseError
+from .errors import ContractError, ParseError, _echo
 from .trees import (
     LEAF,
-    Forest,
     Tree,
     caret,
-    complete_tree,
     format_tree,
-    graft,
     leaf_cells,
     merge_trees,
     moved_below,
@@ -46,6 +43,9 @@ LEVEL_CAP = 8
 # peak on a shared 2-vCPU VM, and the peak grows quadratically with n
 # (n = 40,000: 0.8 s, 260 MiB; n = 100,000: 3.3 s, 1.4 GiB)
 FAMILY_GN_CAP = 10_000
+# the largest e of a dyadic literal n/2^e: 2^e takes e/8 bytes before any
+# other check, and at e = 2^20 a value takes 0.04 s to evaluate and print
+DYADIC_EXPONENT_CAP = 1 << 20
 
 
 class Perm:
@@ -168,7 +168,7 @@ class VElement:
         return self.domain.leaf_count
 
     def is_identity(self) -> bool:
-        return self.domain.is_leaf
+        return self.domain is LEAF
 
     def __eq__(self, other):
         if not isinstance(other, VElement):
@@ -289,18 +289,26 @@ def classify(g: VElement) -> str:
 # dyadic points and the piecewise-linear action
 
 def parse_dyadic(text: str) -> Fraction:
-    """A dyadic rational written n, n/d with d a power of 2, or n/2^e."""
+    """A dyadic rational written n, n/d with d a power of 2, or n/2^e with e
+    at most DYADIC_EXPONENT_CAP."""
     text = text.strip()
+    shown = _echo(text)
     m = re.fullmatch(r"(-?\d+)(?:\s*/\s*(2\^)?(\d+))?", text)
     if m is None:
-        raise ParseError(f"bad dyadic literal {text!r}")
+        raise ParseError(f"bad dyadic literal {shown}")
     num, pow2, den = m.groups()
-    den = int(den or 1)
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:
+        # int() refuses a literal of more than 4,300 digits
+        raise ParseError(f"bad dyadic literal {shown}: too many digits") from exc
     if pow2:
+        if den > DYADIC_EXPONENT_CAP:
+            raise ParseError(f"bad dyadic literal {shown}: exponent above {DYADIC_EXPONENT_CAP}")
         den = 1 << den
     if den < 1 or den & (den - 1):
-        raise ParseError(f"denominator of {text!r} is not a power of 2")
-    return Fraction(int(num), den)
+        raise ParseError(f"denominator of {shown} is not a power of 2")
+    return Fraction(num, den)
 
 
 def pl_value(domain: Tree, range_: Tree, perm: Perm, x: Fraction) -> Fraction:
@@ -314,7 +322,7 @@ def pl_value(domain: Tree, range_: Tree, perm: Perm, x: Fraction) -> Fraction:
         raise ContractError("pl_value: argument must lie in [0, 1)")
     num, den = x.numerator, x.denominator
     node, k = domain, 1
-    while not node.is_leaf:
+    while node is not LEAF:
         num *= 2
         if num < den:
             node = node.left
@@ -323,7 +331,7 @@ def pl_value(domain: Tree, range_: Tree, perm: Perm, x: Fraction) -> Fraction:
             k += node.left.leaf_count
             node = node.right
     node, j, index, depth = range_, perm(k), 0, 0
-    while not node.is_leaf:
+    while node is not LEAF:
         index, depth = 2 * index, depth + 1
         if j <= node.left.leaf_count:
             node = node.left
@@ -342,21 +350,6 @@ def eval_pl(g: VElement, x) -> Fraction:
     if x.denominator & (x.denominator - 1):
         raise ContractError(f"{x} is not a dyadic rational")
     return pl_value(g.domain, g.range, g.perm, x)
-
-
-def pl_maps_equal(a, b) -> bool:
-    """Exact equality of two piecewise-linear maps given as raw triples.
-
-    Between consecutive cell starts of either domain both maps are affine, so
-    they agree there exactly when they agree at the left end and the midpoint.
-    """
-    starts = {Fraction(i, 1 << d) for t in (a[0], b[0]) for i, d in leaf_cells(t)}
-    cuts = sorted(starts | {Fraction(1)})
-    for lo, hi in zip(cuts, cuts[1:]):
-        for x in (lo, (lo + hi) / 2):
-            if pl_value(*a, x) != pl_value(*b, x):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +386,16 @@ def builtin(name: str):
 
 def inflated_element(name: str, n: int) -> VElement:
     """Level-n widening of g, h or k: 2^n parallel copies grafted onto the
-    complete tree with 2^n leaves."""
+    complete tree with 2^n leaves, so each copy's leaves sit n deeper."""
     if name not in _ELEMENT_PAIRS:
         raise ContractError(f"inflated_element: no such family {name!r}")
     if n < 0 or n > LEVEL_CAP:
         raise ContractError(f"inflated_element: level {n} outside 0..{LEVEL_CAP}")
-    top, bottom = _ELEMENT_PAIRS[name]
-    level = complete_tree(n)
-    copies = 2**n
-    rng = graft(level, Forest((named_tree(top),) * copies))
-    dom = graft(level, Forest((named_tree(bottom),) * copies))
-    return VElement(dom, rng)
+    top, bottom = (
+        tree_from_depths([d + n for _, d in leaf_cells(named_tree(t))] * 2**n)
+        for t in _ELEMENT_PAIRS[name]
+    )
+    return VElement(bottom, top)
 
 
 def family_kn(n: int) -> VElement:

@@ -1,10 +1,10 @@
 """Binary planar trees and forests.
 
-A tree is either a single leaf or a caret joining two subtrees.  A forest is
-an ordered sequence of trees; its roots are counted left to right and its
-leaves are numbered globally 1..m across the trees.  Forests compose by
-vertical stacking: in ``compose(p, q)`` the i-th root of ``p`` is attached to
-the i-th leaf of ``q``.
+A tree is either the single leaf ``LEAF`` or a caret joining two subtrees.
+A forest is an ordered sequence of trees; its roots are counted left to
+right and its leaves are numbered globally 1..m across the trees.  Forests
+compose by vertical stacking: in ``compose(p, q)`` the i-th root of ``p`` is
+attached to the i-th leaf of ``q``.
 """
 
 from __future__ import annotations
@@ -26,29 +26,25 @@ class Tree:
 
     Build trees only from the module-level ``LEAF`` constant and ``caret``,
     which interns every caret: equal trees are the same object, so equality
-    and hashing are by identity.
+    and hashing are by identity, and a node is a leaf exactly when it is
+    ``LEAF``.
     """
 
-    __slots__ = ("left", "right", "is_leaf", "leaf_count", "depth")
+    __slots__ = ("left", "right", "leaf_count")
 
-    def __init__(self, left: "Tree | None" = None, right: "Tree | None" = None):
-        if (left is None) != (right is None):
-            raise ValueError("a tree node has either two children or none")
+    def __init__(self, left: "Tree", right: "Tree"):
         self.left = left
         self.right = right
-        self.is_leaf = left is None
-        if left is None:
-            self.leaf_count = 1
-            self.depth = 0
-        else:
-            self.leaf_count = left.leaf_count + right.leaf_count
-            self.depth = 1 + max(left.depth, right.depth)
+        self.leaf_count = left.leaf_count + right.leaf_count
 
     def __repr__(self):
         return f"Tree({format_tree(self)!r})"
 
 
-LEAF = Tree()
+# the one leaf: a Tree is built with two children, so no other leaf exists
+LEAF = object.__new__(Tree)
+LEAF.left = LEAF.right = None
+LEAF.leaf_count = 1
 
 _CARETS: dict[tuple[Tree, Tree], Tree] = {}
 
@@ -86,22 +82,7 @@ class Forest:
         return hash(self.trees)
 
     def __repr__(self):
-        return f"Forest({format_forest(self)!r})"
-
-
-def trivial_forest(n: int) -> Forest:
-    if n < 1:
-        raise ContractError("trivial_forest: root count must be >= 1")
-    return Forest((LEAF,) * n)
-
-
-def elementary_forest(i: int, n: int) -> Forest:
-    """Forest with n roots, all trees trivial except the i-th, a single caret."""
-    if not 1 <= i <= n:
-        raise ContractError(f"elementary_forest: need 1 <= i <= n, got i={i}, n={n}")
-    trees = [LEAF] * n
-    trees[i - 1] = caret(LEAF, LEAF)
-    return Forest(trees)
+        return f"Forest({';'.join(map(format_tree, self.trees))!r})"
 
 
 def compose(p: Forest, q: Forest) -> Forest:
@@ -184,7 +165,7 @@ def leaf_cells(t: Tree) -> list[tuple[int, int]]:
     while stack:
         node, index, depth = stack.pop()
         # walk down the left spine, leaving each right child for later
-        while not node.is_leaf:
+        while node is not LEAF:
             index, depth = 2 * index, depth + 1
             stack.append((node.right, index + 1, depth))
             node = node.left
@@ -256,7 +237,7 @@ def _co_walk(u: Tree, v: Tree) -> list[tuple[Tree, Tree, int]]:
     stack = [(u, v, 0)]
     while stack:
         a, b, d = stack.pop()
-        while not (a.is_leaf or b.is_leaf or a is b):
+        while not (a is LEAF or b is LEAF or a is b):
             d += 1
             stack.append((a.right, b.right, d))
             a, b = a.left, b.left
@@ -348,34 +329,6 @@ def format_tree(t: Tree, style: str = "product") -> str:
     raise ValueError(f"unknown style {style!r}")
 
 
-def parse_forest(text: str) -> Forest:
-    parts = text.split(";")
-    return Forest(tuple(parse_tree(p) for p in parts))
-
-
-def format_forest(f: Forest, style: str = "product") -> str:
-    return ";".join(format_tree(t, style) for t in f.trees)
-
-
-# ---------------------------------------------------------------------------
-# path words
-
-def path_words(f: Forest | Tree) -> tuple[str, ...]:
-    """Root-to-leaf turn words over {a, b}, one per leaf.
-
-    A left turn contributes 'a', a right turn 'b'; the letter for the turn
-    nearest the leaf is written first, so the first turn taken is the
-    rightmost character.  The empty word is the trivial path.  These are the
-    bits of each leaf cell's index, lowest first.
-    """
-    trees = (f,) if isinstance(f, Tree) else f.trees
-    return tuple(
-        "".join("ab"[index >> k & 1] for k in range(depth))
-        for t in trees
-        for index, depth in leaf_cells(t)
-    )
-
-
 # ---------------------------------------------------------------------------
 # prefixes (subrooted trees)
 
@@ -441,15 +394,15 @@ def residual_forest(w: Tree, z: Tree) -> Forest:
     """The forest f with compose(f, z) = w; z must be a prefix of w."""
     out: list[Tree] = []
     for a, b, _ in _co_walk(w, z):
-        if not (b.is_leaf or a is b):
+        if not (b is LEAF or a is b):
             raise ContractError("residual_forest: second tree is not a prefix of the first")
-        out += [a] if b.is_leaf else [LEAF] * a.leaf_count
+        out += [a] if b is LEAF else [LEAF] * a.leaf_count
     return Forest(out)
 
 
 def merge_trees(u: Tree, v: Tree) -> Tree:
     """Least common refinement: the smallest tree with both u and v as prefixes."""
-    return _assemble((b if a.is_leaf else a, d) for a, b, d in _co_walk(u, v))
+    return _assemble((b if a is LEAF else a, d) for a, b, d in _co_walk(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -458,23 +411,6 @@ def merge_trees(u: Tree, v: Tree) -> Tree:
 def enumerate_trees(n: int) -> tuple[Tree, ...]:
     """All trees with n leaves in a fixed deterministic order."""
     return _trees_by_size("enumerate_trees", n)[n]
-
-
-def enumerate_forests(m: int) -> tuple[Forest, ...]:
-    """All forests with m leaves (any number of roots), deterministic order:
-    by the first tree's leaf count, then the first tree, then the rest."""
-    trees = _trees_by_size("enumerate_forests", m)
-    shapes: list[list[tuple[Tree, ...]]] = [[()]]
-    for size in range(1, m + 1):
-        shapes.append(
-            [
-                (first,) + rest
-                for k in range(1, size + 1)
-                for first in trees[k]
-                for rest in shapes[size - k]
-            ]
-        )
-    return tuple(Forest(shape) for shape in shapes[m])
 
 
 def _trees_by_size(caller: str, n: int) -> list[tuple[Tree, ...]]:

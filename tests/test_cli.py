@@ -5,14 +5,22 @@ import random
 import subprocess
 import sys
 import time
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 from forestrep import coefficients
 from forestrep.cli import SWEEP_FIELDS, _int_text, main
 from forestrep.shiftrep import almost_invariance, invariance_bound
-from forestrep.thompson import builtin, family_kn, format_element_literal, parse_element_literal
+from forestrep.thompson import (
+    DYADIC_EXPONENT_CAP,
+    builtin,
+    eval_pl,
+    family_kn,
+    format_element_literal,
+    parse_dyadic,
+    parse_element_literal,
+)
 
 
 REMARK = "(f3 f1 f1)/(f3 f1 f1)~[3,2,1,4]"
@@ -159,6 +167,15 @@ def _subprocess_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
 
 
+def test_readme_library_sketch_runs(capsys):
+    # the README's documented imports and results
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    expected = [line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")]
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_cli_import_leaves_oracles_unloaded():
     code = "import sys, forestrep.cli; print('forestrep.oracles' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True)
@@ -188,6 +205,43 @@ def test_exponent_literals_are_refused_up_front():
         env=env, capture_output=True, text=True, timeout=10,
     )
     assert proc.returncode == 2 and proc.stderr.count("\n") == 1 and len(proc.stderr) < 120
+
+
+def test_dyadic_exponents_are_refused_up_front():
+    # 1 << e would take e/8 bytes before any check, and int() refuses a
+    # literal of more than 4,300 digits
+    env = _subprocess_env()
+    for at in (
+        "1/2^99999999",
+        f"1/2^{DYADIC_EXPONENT_CAP + 1}",
+        "1/2^" + "9" * 5000,
+        "1/" + "4" * 5000,
+        "7" * 5000,
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "forestrep.cli", "element", "eval", "g", "--at", at],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 2 and proc.stdout == "" and proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("parse error: ") and len(proc.stderr) < 120
+    proc = subprocess.run(
+        [sys.executable, "-m", "forestrep.cli", "element", "eval", "g", "--at", f"1/2^{DYADIC_EXPONENT_CAP}"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 0 and proc.stderr == "" and proc.stdout.count("\n") == 1
+
+
+def test_dyadic_values_print_as_fractions_do(capsys):
+    for literal, at in (("g", "3/8"), ("g", "0"), ("f1/f1~[2,1]", "1/2"), ("h", "1/2^3000")):
+        code, out, _ = run(capsys, "element", "eval", literal, "--at", at)
+        y = eval_pl(parse_element_literal(literal), parse_dyadic(at))
+        assert code == 0 and out == f"{y}\n"
+    # past str(int)'s 4,300 digits: compared as exact decimals
+    code, out, _ = run(capsys, "element", "eval", "h", "--at", "3/2^65536")
+    y = eval_pl(builtin("h"), Fraction(3, 1 << 65536))
+    num, den = out.strip().split("/")
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        assert code == 0 and (Decimal(num), Decimal(den)) == (Decimal(y.numerator), Decimal(y.denominator))
 
 
 def test_exponent_literals_within_the_bound(capsys):
@@ -286,6 +340,14 @@ def test_farley(capsys):
     assert "exponential-family=matches" in out
     code, out, err = run(capsys, "farley", "--element", "g", "--beta", "-1")
     assert code == 1 and out == "" and err.count("\n") == 1 and "contract violation" in err
+
+
+def test_farley_runs_the_cover_sum_once(capsys, monkeypatch):
+    calls = []
+    class_sum = coefficients._class_sum
+    monkeypatch.setattr(coefficients, "_class_sum", lambda g: calls.append(g) or class_sum(g))
+    code, out, _ = run(capsys, "farley", "--element", "g_3")
+    assert code == 0 and len(calls) == 1 and out.endswith("exponential-family=differs\n")
 
 
 def test_kazhdan_kn(capsys):

@@ -13,7 +13,6 @@ from forestrep.coefficients import (
     _class_sum,
     _cover_counts,
     _exact_alpha,
-    farley_matches_phi,
     farley_norm,
     farley_phi,
     gram_psd_check,
@@ -25,6 +24,7 @@ from forestrep.coefficients import (
 from forestrep.errors import ContractError
 from forestrep.oracles import (
     RTensor,
+    enumerate_forests,
     enumerated_phi,
     operator_apply,
     partition_function,
@@ -51,7 +51,6 @@ from forestrep.trees import (
     Forest,
     caret,
     complete_tree,
-    enumerate_forests,
     enumerate_trees,
     parse_tree,
     subrooted_trees,
@@ -117,7 +116,7 @@ def _table_reference(R):
 
     def table(t, i):
         if (t, i) not in tables:
-            if t.is_leaf:
+            if t is LEAF:
                 tables[t, i] = {(i,): 1}
             else:
                 out = {}
@@ -289,6 +288,14 @@ def test_phi_alpha_nonvanishing_family():
         assert value >= lower
 
 
+def test_phi_alpha_gn_closed_form():
+    # (1 + alpha^2) phi_alpha(g_N) = alpha^2 (1 - alpha^2) + 2 alpha^(4N): the
+    # cover sum on a whole family, checked without listing prefixes
+    a2 = ALPHA * ALPHA
+    for n in [*range(2, 61), 200, 500]:
+        assert (ONE + a2) * phi_alpha(family_gn(n)) == a2 * (ONE - a2) + 2 * RingElem.term(4 * n, 0), n
+
+
 def test_phi_alpha_representative_independent():
     # same group element written with inflated trees gives the same polynomial
     from forestrep.oracles import _inflated_representative
@@ -407,8 +414,9 @@ def test_farley_norm_and_match():
     assert value.exponent == 0 and value.as_float() == 1.0
     g = VElement(named_tree("d"), named_tree("c"))
     assert farley_norm(g) == 4
-    assert farley_matches_phi(g)
-    assert not farley_matches_phi(remark_element())
+    assert phi_alpha(g) == RingElem.term(farley_norm(g), 0)
+    swap = remark_element()
+    assert phi_alpha(swap) != RingElem.term(farley_norm(swap), 0)
     with pytest.raises(ContractError):
         farley_phi(g, Fraction(-1))
 
@@ -423,7 +431,7 @@ def test_farley_decay_rate_must_be_exact():
 
 def test_farley_matches_on_rotation_pairs():
     for g in reduced_rotation_elements(4):
-        assert farley_matches_phi(g)
+        assert phi_alpha(g) == RingElem.term(farley_norm(g), 0)
 
 
 # ---------------------------------------------------------------------------

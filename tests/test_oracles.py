@@ -15,8 +15,10 @@ from forestrep.oracles import (
     check_term_parity,
     check_vacuum_pairing,
     check_word_injectivity,
+    enumerate_forests,
     forest_split_sequence,
     operator_apply,
+    path_words,
     random_elements,
 )
 from forestrep.errors import ContractError
@@ -24,10 +26,9 @@ from forestrep.trees import (
     LEAF,
     Forest,
     caret,
-    enumerate_forests,
+    compose,
     enumerate_trees,
-    parse_forest,
-    path_words,
+    parse_tree,
     subrooted_trees,
 )
 
@@ -142,12 +143,13 @@ def test_reduction_soundness_quick():
 
 
 def test_forest_split_sequence_round_trip():
-    from forestrep.trees import compose, elementary_forest, trivial_forest
-
-    f = parse_forest("f1 f1;f2 f1")
-    rebuilt = trivial_forest(f.root_count)
+    f = Forest((parse_tree("f1 f1"), parse_tree("f2 f1")))
+    rebuilt = Forest((LEAF,) * f.root_count)
     for pos in forest_split_sequence(f):
-        rebuilt = compose(elementary_forest(pos, rebuilt.leaf_count), rebuilt)
+        # one caret stacked under leaf pos splits it
+        top = [LEAF] * rebuilt.leaf_count
+        top[pos - 1] = caret(LEAF, LEAF)
+        rebuilt = compose(Forest(top), rebuilt)
     assert rebuilt == f
 
 

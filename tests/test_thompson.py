@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from forestrep.errors import ContractError, ParseError
-from forestrep.oracles import inflate, refine
+from forestrep.oracles import inflate, pl_maps_equal, refine
 from forestrep.thompson import (
     FAMILY_GN_CAP,
     Perm,
@@ -23,7 +23,6 @@ from forestrep.thompson import (
     named_tree,
     parse_dyadic,
     parse_element_literal,
-    pl_maps_equal,
     standard_generators,
     _reduce,
 )

@@ -9,6 +9,7 @@ import pytest
 
 import forestrep
 from forestrep.errors import ContractError, ParseError
+from forestrep.oracles import enumerate_forests, path_words
 from forestrep.trees import (
     LEAF,
     PREFIX_TABLE_CAP,
@@ -20,23 +21,17 @@ from forestrep.trees import (
     collapse_caret,
     complete_tree,
     compose,
-    elementary_forest,
-    enumerate_forests,
     enumerate_trees,
-    format_forest,
     format_tree,
     graft,
     leaf_cells,
     merge_trees,
-    parse_forest,
     parse_tree,
-    path_words,
     residual_forest,
     split_sequence,
     subrooted_trees,
     tree_from_depths,
     tree_from_splits,
-    trivial_forest,
 )
 
 
@@ -46,6 +41,29 @@ def catalan(n: int) -> int:
     for m in range(1, n + 1):
         table.append(sum(table[k] * table[m - 1 - k] for k in range(m)))
     return table[n]
+
+
+def _depth(t) -> int:
+    """Height of a tree, by walking its nodes."""
+    height, stack = 0, [(t, 0)]
+    while stack:
+        node, d = stack.pop()
+        if node is LEAF:
+            height = max(height, d)
+        else:
+            stack += [(node.left, d + 1), (node.right, d + 1)]
+    return height
+
+
+def _trivial(n: int) -> Forest:
+    return Forest((LEAF,) * n)
+
+
+def _elementary(i: int, n: int) -> Forest:
+    """n roots, all of them leaves but the i-th, a single caret."""
+    trees = [LEAF] * n
+    trees[i - 1] = caret(LEAF, LEAF)
+    return Forest(trees)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +78,7 @@ def test_parse_leaf_and_caret():
 def test_parse_full_tree_with_four_leaves():
     t = parse_tree("f3 f1 f1")
     assert t.leaf_count == 4
-    assert t.depth == 2
+    assert _depth(t) == 2
     assert t == caret(caret(LEAF, LEAF), caret(LEAF, LEAF))
 
 
@@ -88,29 +106,16 @@ def test_parse_errors():
         parse_tree("")
 
 
-def test_elementary_forest():
-    f = elementary_forest(1, 1)
-    assert f.trees == (caret(LEAF, LEAF),)
-    f = elementary_forest(2, 4)
-    assert f.root_count == 4 and f.leaf_count == 5
-    assert [t.leaf_count for t in f.trees] == [1, 2, 1, 1]
-    f = elementary_forest(3, 3)
-    assert f.root_count == 3 and f.leaf_count == 4
-    with pytest.raises(ContractError):
-        elementary_forest(5, 4)
-    with pytest.raises(ContractError):
-        elementary_forest(0, 4)
-
-
 def test_compose_examples():
-    t = compose(elementary_forest(1, 2), elementary_forest(1, 1))
+    t = compose(_elementary(1, 2), _elementary(1, 1))
     assert t.trees[0] == parse_tree("f1 f1")
-    t = compose(elementary_forest(3, 3), compose(elementary_forest(1, 2), elementary_forest(1, 1)))
+    t = compose(_elementary(3, 3), compose(_elementary(1, 2), _elementary(1, 1)))
     assert t.trees[0] == parse_tree("f3 f1 f1")
-    q = parse_forest("f1;.;f1 f1")
-    assert compose(trivial_forest(q.leaf_count), q) == q
+    q = Forest(map(parse_tree, ("f1", ".", "f1 f1")))
+    assert compose(_trivial(q.leaf_count), q) == q
+    assert repr(q) == "Forest('f1;.;f1 f1')"
     with pytest.raises(ContractError):
-        compose(elementary_forest(1, 3), elementary_forest(1, 1))
+        compose(_elementary(1, 3), _elementary(1, 1))
 
 
 def test_compose_counts():
@@ -154,7 +159,7 @@ def test_complete_tree():
     assert complete_tree(1) == caret(LEAF, LEAF)
     assert complete_tree(2) == parse_tree("f3 f1 f1")
     t = complete_tree(4)
-    assert t.leaf_count == 16 and t.depth == 4
+    assert t.leaf_count == 16 and _depth(t) == 4
 
 
 def test_decompose_recompose_round_trip():
@@ -162,9 +167,9 @@ def test_decompose_recompose_round_trip():
         for t in enumerate_trees(n):
             assert tree_from_splits(split_sequence(t)) == t
             # same thing through forest composition
-            f = trivial_forest(1)
+            f = _trivial(1)
             for i in split_sequence(t):
-                f = compose(elementary_forest(i, f.leaf_count), f)
+                f = compose(_elementary(i, f.leaf_count), f)
             assert f.trees[0] == t
     with pytest.raises(ContractError):
         tree_from_splits([1, 3])
@@ -190,7 +195,7 @@ def test_leaf_cells_tile_and_rebuild():
 
 def test_deep_product_parses_without_recursion():
     t = parse_tree(" ".join(["f1"] * 2000))
-    assert t.leaf_count == 2001 and t.depth == 2000
+    assert t.leaf_count == 2001 and _depth(t) == 2000
 
 
 def test_deep_trees_format_and_parse_without_recursion():
@@ -198,18 +203,19 @@ def test_deep_trees_format_and_parse_without_recursion():
     right = " ".join(f"f{i}" for i in range(2000, 0, -1))
     for text in (left, right):
         t = parse_tree(text)
-        assert t.depth == 2000
+        assert _depth(t) == 2000
         assert format_tree(t) == text
         assert parse_tree(format_tree(t, "parens")) is t
     deep = "(" * 1200 + ". .)" + " .)" * 1199
     t = parse_tree(deep)
-    assert t.depth == 1200 and t.leaf_count == 1201
+    assert _depth(t) == 1200 and t.leaf_count == 1201
     assert format_tree(t, "parens") == deep
     assert parse_tree(format_tree(t)) is t
 
 
 def test_equal_trees_are_one_object():
     assert "__eq__" not in vars(Tree) and "__hash__" not in vars(Tree)
+    assert Tree.__slots__ == ("left", "right", "leaf_count")
     for n in range(1, 9):
         for t in enumerate_trees(n):
             assert parse_tree(format_tree(t, "product")) is t
@@ -218,7 +224,7 @@ def test_equal_trees_are_one_object():
             for entry in subrooted_trees(t):
                 assert graft(entry.tree, residual_forest(t, entry.tree)) is t
                 assert merge_trees(entry.tree, t) is t and merge_trees(t, entry.tree) is t
-            if not t.is_leaf:
+            if t is not LEAF:
                 left, right = residual_forest(t, caret(LEAF, LEAF)).trees
                 assert left is t.left and right is t.right
     # deep combs built by different routes compare and hash without recursion
@@ -234,10 +240,10 @@ def test_equal_trees_are_one_object():
 # path words
 
 def test_path_words_examples():
-    f = compose(elementary_forest(1, 4), compose(elementary_forest(3, 3), elementary_forest(1, 2)))
+    f = compose(_elementary(1, 4), compose(_elementary(3, 3), _elementary(1, 2)))
     assert path_words(f) == ("aa", "ba", "b", "a", "b")
     assert path_words(caret(LEAF, LEAF)) == ("a", "b")
-    assert path_words(trivial_forest(4)) == ("", "", "", "")
+    assert path_words(_trivial(4)) == ("", "", "", "")
 
 
 def test_path_words_pairwise_distinct():
@@ -286,7 +292,7 @@ def test_subrooted_residual_properties():
             for entry in subrooted_trees(t):
                 f = residual_forest(t, entry.tree)
                 assert compose(f, Forest((entry.tree,))).trees[0] == t
-                assert entry.inner_leaves == sum(1 for u in f.trees if not u.is_leaf)
+                assert entry.inner_leaves == sum(1 for u in f.trees if u is not LEAF)
                 pure_a = [w for w in entry.words if w and set(w) == {"a"}]
                 assert len(pure_a) == entry.inner_leaves
 
@@ -294,7 +300,7 @@ def test_subrooted_residual_properties():
 # recursive reference walks, one call per tree node, for the leaf-cell versions
 
 def _words_by_recursion(t):
-    if t.is_leaf:
+    if t is LEAF:
         return ("",)
     return tuple(w + "a" for w in _words_by_recursion(t.left)) + tuple(
         w + "b" for w in _words_by_recursion(t.right)
@@ -303,7 +309,7 @@ def _words_by_recursion(t):
 
 def _prefixes_by_recursion(t):
     items = [(LEAF, (t,))]
-    if not t.is_leaf:
+    if t is not LEAF:
         for zl, rl in _prefixes_by_recursion(t.left):
             for zr, rr in _prefixes_by_recursion(t.right):
                 items.append((caret(zl, zr), rl + rr))
@@ -314,7 +320,7 @@ def _subrooted_by_recursion(t):
     out = []
     for z, residual in sorted(_prefixes_by_recursion(t), key=lambda zr: zr[0].leaf_count):
         words = tuple(w for tree in residual for w in _words_by_recursion(tree))
-        out.append((z, sum(1 for tree in residual if not tree.is_leaf), words))
+        out.append((z, sum(1 for tree in residual if tree is not LEAF), words))
     return out
 
 
@@ -322,11 +328,11 @@ def _caret_positions_by_recursion(t):
     out = []
 
     def go(node, off):
-        if node.is_leaf:
+        if node is LEAF:
             return 1
         nl = go(node.left, off)
         nr = go(node.right, off + nl)
-        if node.left.is_leaf and node.right.is_leaf:
+        if node.left is LEAF and node.right is LEAF:
             out.append(off + 1)
         return nl + nr
 
@@ -336,10 +342,10 @@ def _caret_positions_by_recursion(t):
 
 def _collapse_by_recursion(t, i):
     def go(node, k):
-        if node.is_leaf:
+        if node is LEAF:
             raise ContractError(f"collapse_caret: leaves {i},{i + 1} are not siblings")
         nl = node.left.leaf_count
-        if node.left.is_leaf and node.right.is_leaf and k == 1:
+        if node.left is LEAF and node.right is LEAF and k == 1:
             return LEAF
         if k + 1 <= nl:
             return caret(go(node.left, k), node.right)
@@ -495,9 +501,3 @@ def test_enumerate_forests_counts():
         assert len(enumerate_forests(m)) == catalan(m)
         for f in enumerate_forests(m):
             assert f.leaf_count == m
-
-
-def test_forest_text_round_trip():
-    f = parse_forest("f1 f1;.;f2 f1")
-    assert f.root_count == 3 and f.leaf_count == 7
-    assert parse_forest(format_forest(f)) == f
