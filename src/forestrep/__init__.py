@@ -45,13 +45,16 @@ from .thompson import (
 )
 from .trees import (
     LEAF,
+    Depths,
     Tree,
     caret,
     complete_tree,
+    depths,
     enumerate_trees,
     format_tree,
     merge_trees,
     parse_tree,
+    tree_from_depths,
 )
 
 __version__ = "0.1.0"

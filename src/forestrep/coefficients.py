@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .errors import ContractError
 from .ring import RingElem
 from .thompson import Perm, VElement, inverse, multiply
-from .trees import caret_positions, enumerate_trees, leaf_cells
+from .trees import caret_positions, depths, enumerate_trees
 
 
 def _exact(where: str, name: str, value) -> Fraction:
@@ -89,10 +89,10 @@ def _class_sum(g: VElement) -> RingElem:
     of classes whose range nodes cover the range leaves once (the state-sum
     picture of Jones, arXiv:1412.7740), and the sum carries one alpha^-2.
     """
-    range_cells, domain_cells = leaf_cells(g.range), leaf_cells(g.domain)
+    range_cells, domain_cells = g.range.cells(), g.domain.cells()
     n = len(range_cells)
     # the leaf at the other end of each range leaf's and domain leaf's strand
-    to_domain = [g.perm.inv(i) - 1 for i in range(1, n + 1)]
+    to_domain = g.perm._inv
     to_range = [v - 1 for v in g.perm.images]
     top = []  # the largest cut height of each strand
     for (c, d), j in zip(range_cells, to_domain):
@@ -114,8 +114,8 @@ def _class_sum(g: VElement) -> RingElem:
     # per side: the node table, the other side's, each leaf's depth and the
     # cell at the other end of its strand
     sides = (
-        (range_nodes, domain_nodes, [d for _, d in range_cells], [domain_cells[j] for j in to_domain]),
-        (domain_nodes, range_nodes, [d for _, d in domain_cells], [range_cells[i] for i in to_range]),
+        (range_nodes, domain_nodes, g.range, [domain_cells[j] for j in to_domain]),
+        (domain_nodes, range_nodes, g.domain, [range_cells[i] for i in to_range]),
     )
     classes = []
     seen = set()
@@ -376,14 +376,15 @@ def reduced_rotation_elements(max_leaves: int):
     """
     for n in range(1, max_leaves + 1):
         trees = enumerate_trees(n)
+        leaves = [depths(t) for t in trees]
         carets = [caret_positions(t) for t in trees]
         rotations = [Perm.rotation(n, c) for c in range(n)]
-        for range_tree, range_carets in zip(trees, carets):
-            for domain_tree, domain_carets in zip(trees, carets):
+        for range_leaves, range_carets in zip(leaves, carets):
+            for domain_leaves, domain_carets in zip(leaves, carets):
                 cancelling = {(j - k) % n for k in domain_carets for j in range_carets}
                 for c in range(n):
                     if c not in cancelling:
-                        yield VElement._from_reduced(domain_tree, range_tree, rotations[c])
+                        yield VElement._from_reduced(domain_leaves, range_leaves, rotations[c])
 
 
 def _rotation_triples(max_leaves: int) -> int:

@@ -10,9 +10,10 @@ is kept here as a reference: ``RTensor``, its state sum ``partition_function``
 and the windowed interpolation tensor ``word_window_tensor``.  So is
 ``enumerated_phi``, phi_alpha by listing the prefix pairs that the library's
 closure-class cover sum counts without listing.  The forest enumeration,
-path words and the exact equality of piecewise-linear maps that these
-checks use are kept here too: the library computes on leaf cells and uses
-none of them.
+path words, the tree descent ``pl_value`` and the exact equality of
+piecewise-linear maps that these checks use are kept here too: the library
+computes on leaf depths and cells and uses none of them.  ``element_trees``
+builds an element's two trees from the leaf depths it holds.
 """
 
 from __future__ import annotations
@@ -32,23 +33,25 @@ from .thompson import (
     VElement,
     family_gn,
     multiply,
-    pl_value,
     standard_generators,
 )
 from .trees import (
     ENUM_LEAF_CAP,
+    LEAF,
     Forest,
     Tree,
     _prefixes,
     _trees_by_size,
     caret_positions,
     collapse_caret,
+    depths,
     enumerate_trees,
     fold_tree,
     graft,
     leaf_cells,
     split_sequence,
     subrooted_trees,
+    tree_from_depths,
 )
 
 
@@ -83,6 +86,42 @@ def path_words(f: Forest | Tree) -> tuple[str, ...]:
         for t in trees
         for index, depth in leaf_cells(t)
     )
+
+
+def element_trees(g: VElement) -> tuple[Tree, Tree]:
+    """The domain and range trees of g, built from its leaf depths."""
+    return tree_from_depths(g.domain), tree_from_depths(g.range)
+
+
+def pl_value(domain: Tree, range_: Tree, perm: Perm, x: Fraction) -> Fraction:
+    """Value at x of the map sending domain cell k affinely onto range cell perm(k).
+
+    The domain is descended by the binary digits of x, which leaves x's
+    position within its cell as num/den; the range is descended to leaf
+    perm(k) by leaf counts.
+    """
+    if not 0 <= x < 1:
+        raise ContractError("pl_value: argument must lie in [0, 1)")
+    num, den = x.numerator, x.denominator
+    node, k = domain, 1
+    while node is not LEAF:
+        num *= 2
+        if num < den:
+            node = node.left
+        else:
+            num -= den
+            k += node.left.leaf_count
+            node = node.right
+    node, j, index, depth = range_, perm(k), 0, 0
+    while node is not LEAF:
+        index, depth = 2 * index, depth + 1
+        if j <= node.left.leaf_count:
+            node = node.left
+        else:
+            j -= node.left.leaf_count
+            index += 1
+            node = node.right
+    return Fraction(index * den + num, den << depth)
 
 
 def pl_maps_equal(a, b) -> bool:
@@ -276,15 +315,17 @@ def _inflated_representative(g: VElement, rng: random.Random):
     every domain leaf, carried through the bijection."""
     pool = [t for n in (1, 2, 3) for t in enumerate_trees(n)]
     attach = Forest(tuple(rng.choice(pool) for _ in range(g.leaf_count)))
-    raw_range, raw_perm = refine(g.range, g.perm, attach)
-    return graft(g.domain, attach), raw_range, raw_perm
+    domain, range_ = element_trees(g)
+    raw_range, raw_perm = refine(range_, g.perm, attach)
+    return graft(domain, attach), raw_range, raw_perm
 
 
 def _speculative_candidates(g: VElement):
     """Triples obtained by one further caret cancellation against the leaf
     bijection's crossed pattern; a reduced element admits no straight pattern."""
-    range_carets = set(caret_positions(g.range))
-    for i in caret_positions(g.domain):
+    domain, range_ = element_trees(g)
+    range_carets = set(caret_positions(range_))
+    for i in caret_positions(domain):
         images = {g.perm(i), g.perm(i + 1)}
         j = min(images)
         if images != {j, j + 1} or j not in range_carets:
@@ -297,7 +338,7 @@ def _speculative_candidates(g: VElement):
                 new_images.append(j)
             else:
                 new_images.append(v - 1 if v > j + 1 else v)
-        yield collapse_caret(g.domain, i), collapse_caret(g.range, j), Perm(new_images)
+        yield collapse_caret(domain, i), collapse_caret(range_, j), Perm(new_images)
 
 
 # about 16 s on a shared 2-vCPU VM, at about 0.6 ms a sample
@@ -329,7 +370,7 @@ def check_reduction_soundness(samples: int = 500, seed: int = 42) -> dict:
             continue
         g = random_element(rng, 6)
         raw = _inflated_representative(g, rng)
-        canonical = (g.domain, g.range, g.perm)
+        canonical = (*element_trees(g), g.perm)
         if not pl_maps_equal(raw, canonical):
             violations += 1
         if VElement(*raw) != g:
@@ -362,11 +403,12 @@ def enumerated_phi(g: VElement) -> RingElem:
     the leaf bijection, and the pair adds alpha^(leaves(z) + leaves(r) - 2)
     beta^(inner leaves of z and r).  The tables grow doubly exponentially
     with the tree depth; subrooted_trees refuses one past PREFIX_TABLE_CAP."""
+    domain, range_ = element_trees(g)
     domain_terms: dict[tuple[str, ...], list] = {}
-    for entry in subrooted_trees(g.domain):
+    for entry in subrooted_trees(domain):
         domain_terms.setdefault(g.perm.theta(entry.words), []).append(entry)
     exponents: Counter = Counter()
-    for z in subrooted_trees(g.range):
+    for z in subrooted_trees(range_):
         for r in domain_terms.get(z.words, ()):
             exponents[(z.tree.leaf_count + r.tree.leaf_count - 2, z.inner_leaves + r.inner_leaves)] += 1
     return RingElem.expand(exponents)
@@ -550,7 +592,7 @@ def check_vacuum_pairing(max_leaves: int = 5) -> dict:
     words = ["".join(w) for n in range(max_leaves) for w in itertools.product("ab", repeat=n)]
     R = word_window_tensor(words)
     expansions = {
-        t: operator_apply(Forest((t,)), R, ("",))
+        depths(t): operator_apply(Forest((t,)), R, ("",))
         for n in range(1, max_leaves + 1)
         for t in enumerate_trees(n)
     }

@@ -5,9 +5,9 @@ window vector zeta.  So a tree sends its root input to one shift power per
 leaf cell (i, d): shift^left_run(i, d) of the input on the first leaf, where
 i == 0, and of zeta on every other leaf.  Inner products of such tensors are
 products of rational shifted inner products.  The overlap of a group element
-carries the reference vector's leaf cells through the element's bijection
-with ``trees.moved_below``, as ``multiply`` carries its cells, and builds no
-refined tree.
+carries the leaf depths of the reference vector's tree through the
+element's bijection, as ``multiply`` carries the depths of its merge, and
+builds no refined tree.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .errors import ContractError
 from .thompson import VElement, named_tree
-from .trees import complete_tree, leaf_cells, left_run, merge_trees, moved_below
+from .trees import Depths, leaf_cells, leaves_below, left_run, merge_trees
 
 # the exact bound (1 - 8^-m)^(4^m), two integers of about 3m*4^m bits, sets what
 # level m costs: printing it takes 0.4 s at m = 7 and 9 s at m = 8 (2-vCPU VM)
@@ -169,32 +169,38 @@ def _overlap(g: VElement, m: int) -> tuple[Fraction, int, int]:
 
     Over the merge W of g's domain and the level tree, the reference vector
     has on W's leaf cell (i, d) zeta shifted by p = min(left_run(i, d), d - m),
-    the left turns that end its path below the level tree.  g moves each W
-    cell, with its p, under a range leaf.  A moved cell (c, e) with e >= m
-    lies in a level-m cell, where the reference vector has zeta shifted by
-    min(left_run(c, e), e - m).  A moved cell with e < m splits into 2^(m-e)
-    level-m cells, each with plain zeta in the reference vector: the first
-    carries p after m - e more left turns, cell r > 0 carries
-    left_run(r, m - e).  The overlap is the product over these pairs, so the
-    order of the cells does not matter.
+    the left turns that end its path below the level tree.  g moves the W
+    leaves below each domain leaf, with their p, under the range leaf it is
+    sent to; in range order they are the leaves of the refined range tree,
+    each moved as many levels as the two leaves' depths differ.  A moved
+    cell (c, e) with e >= m lies in a level-m cell, where the reference
+    vector has zeta shifted by min(left_run(c, e), e - m).  A moved cell
+    with e < m splits into 2^(m-e) level-m cells, each with plain zeta in
+    the reference vector: the first carries p after m - e more left turns,
+    cell r > 0 carries left_run(r, m - e).  The overlap is the product over
+    these pairs, so the order of the cells does not matter.
     """
     _check_level("almost_invariance", m)
-    w_cells = leaf_cells(merge_trees(g.domain, complete_tree(m)))
-    g_range = leaf_cells(g.range)
-    moved = moved_below(w_cells, leaf_cells(g.domain), [g_range[a - 1] for a in g.perm.images])
+    w = merge_trees(g.domain, Depths((m,) * 2**m))
+    ends = leaves_below(w, g.domain)
+    starts = [0, *ends]
+    # the refined range's leaf depths and the W leaf each one comes from
+    moved, source = [], []
+    for a, b in enumerate(g.perm._inv):
+        moved += map((g.range[a] - g.domain[b]).__add__, w[starts[b] : ends[b]])
+        source += range(starts[b], ends[b])
+    w_cells = w.cells()
     pairs = []
-    domain_depth = range_depth = 0
-    for (c, e), (i, d) in zip((cell for group in moved for cell in group), w_cells):
+    for (c, e), t in zip(Depths(moved).cells(), source):
+        i, d = w_cells[t]
         p = min(left_run(i, d), d - m)
-        domain_depth = max(domain_depth, d)
-        range_depth = max(range_depth, e)
         if e >= m:
             pairs.append((p, min(left_run(c, e), e - m)))
         else:
             k = m - e
             pairs.append((k + p, 0))
             pairs += [(left_run(r, k), 0) for r in range(1, 1 << k)]
-    return _pairing(zeta(m), pairs), domain_depth, range_depth
+    return _pairing(zeta(m), pairs), max(w), max(moved)
 
 
 def almost_invariance(g: VElement, m: int) -> Fraction:

@@ -2,34 +2,38 @@
 
 An element is stored as a canonical reduced triple (domain tree, range tree,
 leaf bijection): leaf k of the domain partition is sent affinely onto leaf
-``perm(k)`` of the range partition.  Reduction cancels matched carets, which
-is confluent, so equality of elements is structural equality of triples.
+``perm(k)`` of the range partition.  Each tree is held as its leaf depths,
+``trees.Depths``.  Reduction cancels matched carets, which is confluent, so
+equality of elements is equality of the depth tuples and the bijection.
 
-Both the constructor and ``multiply`` work on leaf cells, the (index, depth)
-of each leaf's dyadic interval, and share one reduction kernel, ``_reduce``.
-A product is written cell by cell from the merge of the two inner trees and
-never builds its unreduced tree pair: ``trees.moved_below`` carries the
-merged tree's cells through the bijection, as it does for the shift
-representation's overlap.
+A product is written leaf by leaf from the depths of the merge of the two
+inner trees and never builds a tree.  Both the constructor and ``multiply``
+reduce on leaf cells, the (index, depth) of each leaf's dyadic interval,
+with one kernel, ``_reduce``.
+Trees are built only where an element is made from them (the constructor,
+the parsers and the named families); text is written from the leaf depths.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate
 
 from .errors import ContractError, ParseError, _echo
 from .trees import (
     LEAF,
+    Depths,
     Tree,
     caret,
+    depths,
     format_tree,
     leaf_cells,
+    leaves_below,
     merge_trees,
-    moved_below,
     parse_tree,
     tree_from_depths,
 )
@@ -135,7 +139,9 @@ def _inverse_index(images: tuple) -> tuple:
 # group elements
 
 class VElement:
-    """Canonical reduced tree-pair-with-bijection form of an element of V."""
+    """Canonical reduced tree-pair-with-bijection form of an element of V,
+    held as the leaf depths of both trees and the bijection; built from
+    trees."""
 
     __slots__ = ("domain", "range", "perm")
 
@@ -148,11 +154,15 @@ class VElement:
             raise ContractError("VElement: domain and range must have equal leaf counts")
         if perm.size != domain.leaf_count:
             raise ContractError("VElement: bijection must act on the leaves")
-        reduced = _reduce(leaf_cells(domain), leaf_cells(range_), perm.images)
-        self.domain, self.range, self.perm = reduced or (domain, range_, perm)
+        domain_cells, range_cells = leaf_cells(domain), leaf_cells(range_)
+        self.domain, self.range, self.perm = _reduce(domain_cells, range_cells, perm.images) or (
+            Depths([d for _, d in domain_cells]),
+            Depths([d for _, d in range_cells]),
+            perm,
+        )
 
     @classmethod
-    def _from_reduced(cls, domain: Tree, range_: Tree, perm: Perm) -> "VElement":
+    def _from_reduced(cls, domain: Depths, range_: Depths, perm: Perm) -> "VElement":
         """The element of a triple already known to be valid and reduced,
         taken as it is: neither checked nor reduced again."""
         g = object.__new__(cls)
@@ -165,10 +175,10 @@ class VElement:
 
     @property
     def leaf_count(self) -> int:
-        return self.domain.leaf_count
+        return len(self.domain)
 
     def is_identity(self) -> bool:
-        return self.domain is LEAF
+        return len(self.domain) == 1
 
     def __eq__(self, other):
         if not isinstance(other, VElement):
@@ -220,8 +230,8 @@ def _reduce(domain_cells, range_cells, images):
     for new_j, k in enumerate(order, 1):
         reduced_images[k] = new_j
     return (
-        tree_from_depths([cell[1] for cell in stack]),
-        tree_from_depths([stack[k][3] for k in order]),
+        Depths([cell[1] for cell in stack]),
+        Depths([stack[k][3] for k in order]),
         Perm._trusted(tuple(reduced_images)),
     )
 
@@ -229,46 +239,40 @@ def _reduce(domain_cells, range_cells, images):
 def multiply(g: VElement, h: VElement) -> VElement:
     """Group product; (g*h) acts as g after h on [0, 1).
 
-    Both g's domain and h's range are prefixes of their merge W.  Each
-    product domain leaf is a leaf of W below some leaf c of h's range, moved
-    under the h domain leaf sent to c; each product range leaf is a leaf of W
-    below some leaf b of g's domain, moved under the g range leaf b is sent
-    to.  A W leaf goes from the one to the other, so the product's leaf cells
-    and images are written straight from the cells of W and reduced once.
+    Both g's domain and h's range are prefixes of their merge W, so the
+    leaves of W below each of their leaves are consecutive.  Each product
+    range leaf is a leaf of W below some leaf b of g's domain, moved under
+    the g range leaf b is sent to; each product domain leaf is a leaf of W
+    below some leaf c of h's range, moved under the h domain leaf sent to c.
+    A leaf moved from depth e to depth e2 gains e2 - e levels, so the
+    product's leaf depths and images are written straight from the depths of
+    W, and its cells are reduced once.
     """
-    w_cells = leaf_cells(merge_trees(g.domain, h.range))
-    # per g domain leaf b, its W leaves as product range cells; per h range
-    # leaf c, its W leaves as product domain cells
-    g_range = leaf_cells(g.range)
-    under_g = moved_below(w_cells, leaf_cells(g.domain), [g_range[a - 1] for a in g.perm.images])
-    under_h = moved_below(w_cells, leaf_cells(h.range), h.perm.theta(leaf_cells(h.domain)))
-
-    # the product range lists g's range leaves in order; offsets[a - 1]
-    # numbers the first product range leaf below g's range leaf a
-    range_cells = []
-    offsets = []
-    for b in g.perm._inv:
-        offsets.append(len(range_cells) + 1)
-        range_cells += under_g[b]
-    # the product range leaf of each W leaf, in W order, then grouped by the
-    # h range leaf above it
+    g_domain, g_range, h_domain, h_range = g.domain, g.range, h.domain, h.range
+    w = merge_trees(g_domain, h_range)
+    # the product range lists g's range leaves in order; first[b] numbers the
+    # first product range leaf below g's domain leaf b
+    ends = leaves_below(w, g_domain)
+    starts = [0, *ends]
+    range_depths = []
+    first = [0] * len(g_domain)
+    for a, b in enumerate(g.perm._inv):
+        first[b] = len(range_depths) + 1
+        range_depths += map((g_range[a] - g_domain[b]).__add__, w[starts[b] : ends[b]])
+    # the product range leaf of each W leaf, in W order
     targets = []
-    for group, a in zip(under_g, g.perm.images):
-        first = offsets[a - 1]
-        targets += range(first, first + len(group))
-    targets = iter(targets)
-    targets_h = [list(islice(targets, len(group))) for group in under_h]
-
-    domain_cells, images = [], []
-    for j in h.perm.images:
-        domain_cells += under_h[j - 1]
-        images += targets_h[j - 1]
-    reduced = _reduce(domain_cells, range_cells, images) or (
-        tree_from_depths([d for _, d in domain_cells]),
-        tree_from_depths([d for _, d in range_cells]),
-        Perm._trusted(tuple(images)),
-    )
-    return VElement._from_reduced(*reduced)
+    for f, start, end in zip(first, starts, ends):
+        targets += range(f, f + end - start)
+    ends = leaves_below(w, h_range)
+    starts = [0, *ends]
+    domain_depths, images = [], []
+    for k, c in enumerate(h.perm.images):
+        start, end = starts[c - 1], ends[c - 1]
+        domain_depths += map((h_domain[k] - h_range[c - 1]).__add__, w[start:end])
+        images += targets[start:end]
+    domain, range_ = Depths(domain_depths), Depths(range_depths)
+    reduced = _reduce(domain.cells(), range_.cells(), images)
+    return VElement._from_reduced(*(reduced or (domain, range_, Perm._trusted(tuple(images)))))
 
 
 def inverse(g: VElement) -> VElement:
@@ -311,45 +315,34 @@ def parse_dyadic(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def pl_value(domain: Tree, range_: Tree, perm: Perm, x: Fraction) -> Fraction:
-    """Value at x of the map sending domain cell k affinely onto range cell perm(k).
-
-    The domain is descended by the binary digits of x, which leaves x's
-    position within its cell as num/den; the range is descended to leaf
-    perm(k) by leaf counts.
-    """
-    if not 0 <= x < 1:
-        raise ContractError("pl_value: argument must lie in [0, 1)")
-    num, den = x.numerator, x.denominator
-    node, k = domain, 1
-    while node is not LEAF:
-        num *= 2
-        if num < den:
-            node = node.left
-        else:
-            num -= den
-            k += node.left.leaf_count
-            node = node.right
-    node, j, index, depth = range_, perm(k), 0, 0
-    while node is not LEAF:
-        index, depth = 2 * index, depth + 1
-        if j <= node.left.leaf_count:
-            node = node.left
-        else:
-            j -= node.left.leaf_count
-            index += 1
-            node = node.right
-    return Fraction(index * den + num, den << depth)
-
-
 def eval_pl(g: VElement, x) -> Fraction:
     """Apply g's piecewise-linear action to a dyadic point of [0, 1)."""
     if not isinstance(x, (Fraction, int)):
         raise ContractError("eval_pl: expected a dyadic Fraction")
     x = Fraction(x)
-    if x.denominator & (x.denominator - 1):
+    num, den = x.numerator, x.denominator
+    if den & (den - 1):
         raise ContractError(f"{x} is not a dyadic rational")
-    return pl_value(g.domain, g.range, g.perm, x)
+    if not 0 <= num < den:
+        raise ContractError("eval_pl: argument must lie in [0, 1)")
+    # x = num / 2^s; the domain cells end at ends[k] / 2^top, so x's cell is
+    # the first that ends past floor(x * 2^top)
+    s = den.bit_length() - 1
+    domain, range_ = g.domain, g.range
+    top = max(domain)
+    ends = list(accumulate(map((1).__lshift__, map(top.__sub__, domain))))
+    k = bisect_right(ends, (num << top) >> s)
+    d = domain[k]
+    # x lies off / 2^(top + s) into its cell, which is stretched by 2^(d - r)
+    # onto range leaf j; that leaf starts at start / 2^r_top
+    off = (num << top) - ((ends[k] - (1 << (top - d))) << s)
+    j = g.perm.images[k] - 1
+    head = range_[:j]
+    r_top = max(head, default=0)
+    start = sum(map((1).__lshift__, map(r_top.__sub__, head)))
+    shift = top + s - d + range_[j]
+    scale = max(shift, r_top)
+    return Fraction((start << (scale - r_top)) + (off << (scale - shift)), 1 << scale)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +385,7 @@ def inflated_element(name: str, n: int) -> VElement:
     if n < 0 or n > LEVEL_CAP:
         raise ContractError(f"inflated_element: level {n} outside 0..{LEVEL_CAP}")
     top, bottom = (
-        tree_from_depths([d + n for _, d in leaf_cells(named_tree(t))] * 2**n)
+        tree_from_depths([d + n for d in depths(named_tree(t))] * 2**n)
         for t in _ELEMENT_PAIRS[name]
     )
     return VElement(bottom, top)
@@ -439,8 +432,8 @@ def standard_generators() -> tuple[VElement, ...]:
 # literals and JSON
 
 def format_element_literal(g: VElement) -> str:
-    def tree_text(t: Tree) -> str:
-        text = format_tree(t)
+    def tree_text(leaves: Depths) -> str:
+        text = format_tree(leaves)
         return f"({text})" if " " in text else text
 
     lit = f"{tree_text(g.range)}/{tree_text(g.domain)}"

@@ -1,6 +1,8 @@
 """Binary planar trees and forests.
 
 A tree is either the single leaf ``LEAF`` or a caret joining two subtrees.
+Group elements hold a tree as its leaf depths, left to right (``Depths``),
+from which the leaf cells and the merge of two trees are computed.
 A forest is an ordered sequence of trees; its roots are counted left to
 right and its leaves are numbered globally 1..m across the trees.  Forests
 compose by vertical stacking: in ``compose(p, q)`` the i-th root of ``p`` is
@@ -24,24 +26,21 @@ PREFIX_TABLE_CAP = 36_330_498
 class Tree:
     """Immutable rooted binary tree node.
 
-    Build trees only from the module-level ``LEAF`` constant and ``caret``,
-    which interns every caret: equal trees are the same object, so equality
-    and hashing are by identity, and a node is a leaf exactly when it is
-    ``LEAF``.
+    Every caret is interned: ``Tree(left, right)`` and ``caret(left, right)``
+    return the one node of that shape, so equality and hashing are by
+    identity, and a node is a leaf exactly when it is ``LEAF``.
     """
 
     __slots__ = ("left", "right", "leaf_count")
 
-    def __init__(self, left: "Tree", right: "Tree"):
-        self.left = left
-        self.right = right
-        self.leaf_count = left.leaf_count + right.leaf_count
+    def __new__(cls, left: "Tree", right: "Tree") -> "Tree":
+        return caret(left, right)
 
     def __repr__(self):
         return f"Tree({format_tree(self)!r})"
 
 
-# the one leaf: a Tree is built with two children, so no other leaf exists
+# the one leaf: a caret has two children, so no other leaf exists
 LEAF = object.__new__(Tree)
 LEAF.left = LEAF.right = None
 LEAF.leaf_count = 1
@@ -52,9 +51,39 @@ _CARETS: dict[tuple[Tree, Tree], Tree] = {}
 def caret(left: Tree, right: Tree) -> Tree:
     node = _CARETS.get((left, right))
     if node is None:
+        node = object.__new__(Tree)
+        node.left, node.right = left, right
+        node.leaf_count = left.leaf_count + right.leaf_count
         # setdefault is atomic, so racing threads still get one node per key
-        node = _CARETS.setdefault((left, right), Tree(left, right))
+        node = _CARETS.setdefault((left, right), node)
     return node
+
+
+class Depths(tuple):
+    """The leaf depths of a tree, left to right: the form in which group
+    elements hold their trees.  Equal trees have equal depth tuples."""
+
+    __slots__ = ()
+
+    @property
+    def leaf_count(self) -> int:
+        return len(self)
+
+    def cells(self) -> list[tuple[int, int]]:
+        """(index, depth) of each leaf's dyadic cell, as ``leaf_cells`` gives
+        them for the tree: each cell starts where the previous one ends."""
+        out = []
+        end = prev = 0  # where the last cell ends, as an index at depth prev
+        for d in self:
+            start = end << (d - prev) if d >= prev else end >> (prev - d)
+            out.append((start, d))
+            end, prev = start + 1, d
+        return out
+
+
+def depths(t: Tree) -> Depths:
+    """The leaf depths of t, left to right."""
+    return Depths([d for _, d in leaf_cells(t)])
 
 
 class Forest:
@@ -140,8 +169,12 @@ def split_sequence(t: Tree) -> tuple[int, ...]:
     In preorder the carets come sorted by their leftmost leaf, and leaf k is
     the leftmost leaf of the carets on its final run of left turns.
     """
+    return _splits(leaf_cells(t))
+
+
+def _splits(cells) -> tuple[int, ...]:
     out: list[int] = []
-    for k, (index, depth) in enumerate(leaf_cells(t), 1):
+    for k, (index, depth) in enumerate(cells, 1):
         out.extend([k] * left_run(index, depth))
     return tuple(out)
 
@@ -179,29 +212,9 @@ def left_run(index: int, depth: int) -> int:
     return (index & -index).bit_length() - 1 if index else depth
 
 
-def moved_below(w_cells, cells, onto):
-    """For each cell (c, e) of a prefix of the tree whose leaf cells are
-    w_cells, the leaf cells below it moved into the cell onto[k] = (c2, e2):
-    leaf cell (i, d) at offset i - c * 2^(d-e) inside (c, e) goes to the same
-    offset inside (c2, e2)."""
-    out = []
-    below = iter(w_cells)
-    for (c, e), (c2, e2) in zip(cells, onto):
-        group = []
-        shift, lift, end = c2 - c, e2 - e, c + 1
-        for i, d in below:
-            r = d - e
-            group.append((i + (shift << r), d + lift))
-            # the last leaf below (c, e) ends where it ends
-            if i + 1 == end << r:
-                break
-        out.append(group)
-    return out
-
-
 def tree_from_depths(depths) -> Tree:
     """The tree whose leaves, left to right, sit at the given depths."""
-    return _assemble((LEAF, d) for d in depths)
+    return _assemble(((LEAF, d) for d in depths), caret)
 
 
 def fold_tree(t: Tree, leaves, join):
@@ -211,7 +224,7 @@ def fold_tree(t: Tree, leaves, join):
     return _assemble(zip(leaves, [d for _, d in leaf_cells(t)]), join)
 
 
-def _assemble(items, join=caret):
+def _assemble(items, join):
     """The tree whose subtrees at the given depths cover its leaves left to
     right, from (subtree, depth) pieces; another join folds values instead.
 
@@ -313,9 +326,11 @@ def _parse_product(text: str) -> Tree:
     return tree_from_splits(reversed(indices))
 
 
-def format_tree(t: Tree, style: str = "product") -> str:
+def format_tree(t: Tree | Depths, style: str = "product") -> str:
+    """The text of a tree, given as a Tree or as its leaf depths."""
+    cells = t.cells() if isinstance(t, Depths) else leaf_cells(t)
     if style == "product":
-        seq = split_sequence(t)
+        seq = _splits(cells)
         if not seq:
             return "."
         return " ".join(f"f{i}" for i in reversed(seq))
@@ -324,7 +339,7 @@ def format_tree(t: Tree, style: str = "product") -> str:
         # closes one ')' per caret it is the rightmost leaf of
         return " ".join(
             "(" * left_run(index, depth) + "." + ")" * left_run(index + 1, depth)
-            for index, depth in leaf_cells(t)
+            for index, depth in cells
         )
     raise ValueError(f"unknown style {style!r}")
 
@@ -400,9 +415,59 @@ def residual_forest(w: Tree, z: Tree) -> Forest:
     return Forest(out)
 
 
-def merge_trees(u: Tree, v: Tree) -> Tree:
-    """Least common refinement: the smallest tree with both u and v as prefixes."""
-    return _assemble((b if a is LEAF else a, d) for a, b, d in _co_walk(u, v))
+def merge_trees(u: Depths, v: Depths) -> Depths:
+    """Least common refinement: the leaf depths of the smallest tree with both
+    trees as prefixes.
+
+    The two leaf sequences are read side by side, each next leaf starting
+    where the last leaf of the merge ends.  Two such leaves at one depth are
+    one leaf of the merge.  Otherwise the shallower leaf is a node of the
+    other tree, whose leaves below that node go to the merge.
+    """
+    out: list[int] = []
+    i = j = 0
+    while i < len(u):
+        a, b = u[i], v[j]
+        if a == b:
+            out.append(a)
+            i += 1
+            j += 1
+        elif a > b:
+            k = _subtree_end(u, i, b)
+            out += u[i:k]
+            i, j = k, j + 1
+        else:
+            k = _subtree_end(v, j, a)
+            out += v[j:k]
+            i, j = i + 1, k
+    return Depths(out)
+
+
+def leaves_below(w: Depths, prefix: Depths) -> list[int]:
+    """For each leaf of a prefix of the tree with leaf depths w, left to
+    right, the end in w of the consecutive leaves below it."""
+    ends = []
+    k = 0
+    for e in prefix:
+        k = k + 1 if w[k] == e else _subtree_end(w, k, e)
+        ends.append(k)
+    return ends
+
+
+def _subtree_end(leaves, k: int, depth: int) -> int:
+    """The end of the leaves, from index k, below the node at the given depth
+    where leaf k starts: ``need`` counts the cells of the current depth
+    still to fill."""
+    need = 1
+    while need:
+        d = leaves[k]
+        k += 1
+        if d > depth:
+            need = (need << (d - depth)) - 1
+            depth = d
+        else:
+            need -= 1 << (depth - d)
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from forestrep.thompson import (
     family_kn,
     named_tree,
 )
-from forestrep.trees import LEAF, caret, parse_tree
+from forestrep.trees import LEAF, caret, depths, parse_tree
 
 
 def _record(name: str, ok: bool, detail: str = ""):
@@ -100,8 +100,8 @@ def test_criterion_5_commutator_and_level_coefficients():
     g, h, k = builtin("g"), builtin("h"), builtin("k")
     commutator_ok = (
         g * h * ~g * ~h == k
-        and k.range == named_tree("a")
-        and k.domain == named_tree("q")
+        and k.range == depths(named_tree("a"))
+        and k.domain == depths(named_tree("q"))
         and k == family_kn(0)
     )
     z = zeta(1)

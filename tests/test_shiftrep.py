@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from forestrep.errors import ContractError
-from forestrep.oracles import path_words, random_elements, refine
+from forestrep.oracles import element_trees, path_words, random_elements, refine
 from forestrep.shiftrep import (
     SHIFT_LEVEL_CAP,
     Indicator,
@@ -29,9 +29,11 @@ from forestrep.trees import (
     Forest,
     caret,
     complete_tree,
+    depths,
     merge_trees,
     parse_tree,
     residual_forest,
+    tree_from_depths,
     tree_from_splits,
 )
 
@@ -312,6 +314,11 @@ def _leaf_powers(f: Forest, input_powers) -> list[int]:
     return powers
 
 
+def _merge(u, v):
+    """The merge of two trees, as a tree."""
+    return tree_from_depths(merge_trees(depths(u), depths(v)))
+
+
 def _overlap_by_refinement(g: VElement, m: int, deep_level: int = 0):
     """Reference overlap through trees: the reference vector written over
     the merge of g's domain and the level tree, carried to the range side by
@@ -320,11 +327,12 @@ def _overlap_by_refinement(g: VElement, m: int, deep_level: int = 0):
     Returns the overlap and the refined range tree."""
     level = complete_tree(m)
     slots = 2**m
-    w1 = merge_trees(g.domain, level)
+    domain, range_ = element_trees(g)
+    w1 = _merge(domain, level)
     powers_w1 = _leaf_powers(residual_forest(w1, level), [0] * slots)
-    range_tree, widened = refine(g.range, g.perm, residual_forest(w1, g.domain))
+    range_tree, widened = refine(range_, g.perm, residual_forest(w1, domain))
     powers_range = widened.theta(powers_w1)
-    w2 = merge_trees(merge_trees(range_tree, level), complete_tree(deep_level))
+    w2 = _merge(_merge(range_tree, level), complete_tree(deep_level))
     left = _leaf_powers(residual_forest(w2, range_tree), powers_range)
     right = _leaf_powers(residual_forest(w2, level), [0] * slots)
     z = zeta(m)
@@ -369,7 +377,8 @@ def test_overlap_matches_refinement_reference():
         value, range_tree = _overlap_by_refinement(g, m)
         report = almost_invariance_report(g, m)
         assert report["coefficient"] == value, (g, m)
-        assert report["within_depth"] == (_depth(g.domain) <= m and _depth(range_tree) <= 2 * m), (g, m)
+        domain_depth = _depth(element_trees(g)[0])
+        assert report["within_depth"] == (domain_depth <= m and _depth(range_tree) <= 2 * m), (g, m)
 
 
 def test_almost_invariance_refinement_independent():

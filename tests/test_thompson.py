@@ -1,11 +1,14 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from forestrep import trees
+from forestrep.coefficients import gram_psd_check, phi_alpha
 from forestrep.errors import ContractError, ParseError
-from forestrep.oracles import inflate, pl_maps_equal, refine
+from forestrep.oracles import element_trees, inflate, pl_maps_equal, pl_value, refine
 from forestrep.thompson import (
     FAMILY_GN_CAP,
     Perm,
@@ -19,6 +22,7 @@ from forestrep.thompson import (
     family_kn,
     format_element_literal,
     inflated_element,
+    inverse,
     multiply,
     named_tree,
     parse_dyadic,
@@ -26,18 +30,21 @@ from forestrep.thompson import (
     standard_generators,
     _reduce,
 )
+from forestrep.shiftrep import almost_invariance
 from forestrep.trees import (
     LEAF,
     Forest,
+    Tree,
     caret,
     caret_positions,
     collapse_caret,
+    depths,
     enumerate_trees,
     graft,
-    leaf_cells,
     merge_trees,
     parse_tree,
     residual_forest,
+    tree_from_depths,
     tree_from_splits,
 )
 
@@ -107,7 +114,7 @@ def test_full_cancellation():
 
 def test_known_reduced_elements_unchanged():
     g = x0()
-    assert g.domain == named_tree("d") and g.range == named_tree("c")
+    assert g.domain == depths(named_tree("d")) and g.range == depths(named_tree("c"))
     for n in range(2, 7):
         gn = family_gn(n)
         assert gn.leaf_count == 2 * n
@@ -145,13 +152,14 @@ def test_reduction_confluent_under_random_order():
     for _ in range(60):
         g = random_product(rng, 4)
         attach = Forest(tuple(rng.choice(pool) for _ in range(g.leaf_count)))
-        rng_tree, perm = refine(g.range, g.perm, attach)
-        assert _reduced(graft(g.domain, attach), rng_tree, perm) == (g.domain, g.range, g.perm)
+        domain, range_ = element_trees(g)
+        rng_tree, perm = refine(range_, g.perm, attach)
+        assert _reduced(graft(domain, attach), rng_tree, perm) == (g.domain, g.range, g.perm)
 
 
 def _reduce_by_rescan(domain, range_, perm):
     """Reference reduction: rescan both trees for the leftmost cancellable
-    caret after every cancellation."""
+    caret after every cancellation.  Returns the leaf depths of the trees."""
     while True:
         rc = set(caret_positions(range_))
         hits = [
@@ -160,7 +168,7 @@ def _reduce_by_rescan(domain, range_, perm):
             if perm(i + 1) == perm(i) + 1 and perm(i) in rc
         ]
         if not hits:
-            return domain, range_, perm
+            return depths(domain), depths(range_), perm
         i = min(hits)
         j = perm(i)
         domain = collapse_caret(domain, i)
@@ -208,10 +216,12 @@ def test_reduction_matches_rescan_reference():
 def _multiply_by_refinement(g, h):
     """Reference product: graft the residual forests of the merged tree under
     h's domain and g's range, carry them through the bijections, and reduce
-    the refined triple."""
-    w = merge_trees(g.domain, h.range)
-    new_range, up = refine(g.range, g.perm, residual_forest(w, g.domain))
-    new_domain, down = refine(h.domain, h.perm.inverse(), residual_forest(w, h.range))
+    the refined triple.  Any common refinement gives the same reduced
+    product, so the merge is only required to be one."""
+    (g_domain, g_range), (h_domain, h_range) = element_trees(g), element_trees(h)
+    w = tree_from_depths(merge_trees(g.domain, h.range))
+    new_range, up = refine(g_range, g.perm, residual_forest(w, g_domain))
+    new_domain, down = refine(h_domain, h.perm.inverse(), residual_forest(w, h_range))
     # down maps the refined range of h back to its domain, so the product
     # sends domain leaf k to up(down.inv(k))
     images = [up(down.inv(k)) for k in range(1, down.size + 1)]
@@ -299,16 +309,16 @@ def test_inverse_is_already_reduced():
     rng = random.Random(29)
     for _ in range(200):
         g = random_product(rng, rng.randint(1, 8))
-        swapped = (g.range, g.domain, g.perm.inverse())
-        assert _reduce(leaf_cells(g.range), leaf_cells(g.domain), swapped[2].images) is None
-        assert ~g == VElement(*swapped)
+        perm = g.perm.inverse()
+        assert _reduce(g.range.cells(), g.domain.cells(), perm.images) is None
+        assert ~g == VElement(*element_trees(g)[::-1], perm)
 
 
 def test_commutator_identity():
     g, h, k = builtin("g"), builtin("h"), builtin("k")
     assert g * h * ~g * ~h == k
-    assert k.range == named_tree("a")
-    assert k.domain == named_tree("q")
+    assert k.range == depths(named_tree("a"))
+    assert k.domain == depths(named_tree("q"))
     assert k.perm.is_identity()
 
 
@@ -372,6 +382,25 @@ def test_eval_pl_examples():
         eval_pl(x0(), Fraction(1, 3))
 
 
+def test_eval_pl_matches_tree_descent():
+    # the depth route against the tree descent, on every cell start and
+    # midpoint and on random points, down to points finer than any cell
+    rng = random.Random(19)
+    elements = [random_product(rng, rng.randint(1, 8)) for _ in range(40)]
+    elements += [_random_element(rng, n, kind) for n in (50, 200, 600) for kind in "FTV"]
+    left = parse_tree(" ".join(["f1"] * 399))
+    right = parse_tree(" ".join(f"f{i}" for i in range(399, 0, -1)))
+    elements += [VElement(left, right), VElement(right, left), family_gn(100), VElement.identity()]
+    for g in elements:
+        domain, range_ = element_trees(g)
+        points = [Fraction(i, 1 << d) for i, d in g.domain.cells()]
+        points += [x + Fraction(1, 1 << (d + 1)) for x, (_, d) in zip(points, g.domain.cells())]
+        points += [Fraction(rng.randrange(1 << bits), 1 << bits) for bits in (1, 5, 30, 700) for _ in range(5)]
+        points += [Fraction(3, 1 << 3000), 1 - Fraction(1, 1 << 3000)]
+        for x in points:
+            assert eval_pl(g, x) == pl_value(domain, range_, g.perm, x), (g, x)
+
+
 def test_eval_pl_composition():
     rng = random.Random(17)
     for _ in range(15):
@@ -390,7 +419,7 @@ def test_eval_pl_bijective_and_monotone_on_cells():
         outputs = [eval_pl(g, Fraction(k, 256)) for k in range(256)]
         assert len(set(outputs)) == 256
         # monotone within each domain cell
-        for index, depth in leaf_cells(g.domain):
+        for index, depth in g.domain.cells():
             step = Fraction(1, 2 ** (depth + 3))
             points = [Fraction(index, 2**depth) + i * step for i in range(8)]
             values = [eval_pl(g, p) for p in points]
@@ -413,12 +442,13 @@ def test_canonical_equality_matches_interval_action():
 
 def test_pl_maps_equal_helper():
     g = x0()
+    domain, range_ = element_trees(g)
     attach = Forest((caret(LEAF, LEAF), LEAF, LEAF))
-    raw = (graft(g.domain, attach), *refine(g.range, g.perm, attach))
-    assert pl_maps_equal(raw, (g.domain, g.range, g.perm))
+    raw = (graft(domain, attach), *refine(range_, g.perm, attach))
+    assert pl_maps_equal(raw, (domain, range_, g.perm))
     assert not pl_maps_equal(
-        (g.domain, g.range, g.perm),
-        (g.range, g.domain, g.perm.inverse()),
+        (domain, range_, g.perm),
+        (range_, domain, g.perm.inverse()),
     )
 
 
@@ -451,6 +481,56 @@ def test_json_round_trip():
     for bad in ("f1", ["f1", "f1"], {"domain": 1, "range": "f1"}, {"domain": "f1", "range": "f1", "perm": "21"}):
         with pytest.raises(ParseError):
             element_from_json(bad)
+
+
+def test_uninterned_literals_give_equal_elements():
+    # Tree(left, right) is the interned caret, so either spelling gives one
+    # tree and one element
+    assert Tree(LEAF, LEAF) is caret(LEAF, LEAF)
+    built = VElement(Tree(LEAF, LEAF), Tree(LEAF, LEAF), Perm((2, 1)))
+    interned = VElement(caret(LEAF, LEAF), caret(LEAF, LEAF), Perm((2, 1)))
+    assert format_element_literal(built) == format_element_literal(interned) == "f1/f1~[2, 1]"
+    assert built == interned and hash(built) == hash(interned) and len({built, interned}) == 1
+    x1 = VElement(Tree(LEAF, Tree(LEAF, Tree(LEAF, LEAF))), Tree(LEAF, Tree(Tree(LEAF, LEAF), LEAF)))
+    assert x1 == standard_generators()[1] and hash(x1) == hash(standard_generators()[1])
+
+
+def test_production_routes_build_no_tree(monkeypatch):
+    rng = random.Random(47)
+    elements = [random_product(rng, rng.randint(1, 8)) for _ in range(12)]
+    elements += [_random_element(rng, n, kind) for n in (40, 200) for kind in "FTV"]
+    elements += [family_gn(30), family_kn(2)]
+    points = [Fraction(rng.randrange(1 << 20), 1 << 20) for _ in range(8)]
+    calls = {"caret": 0, "tree_from_depths": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    # every module's binding, so that no route reaches the originals
+    originals = {"caret": trees.caret, "tree_from_depths": trees.tree_from_depths}
+    for module in [m for name, m in sys.modules.items() if name.startswith("forestrep")]:
+        for name, fn in originals.items():
+            if vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    for g in elements:
+        for h in elements[:6]:
+            gh = multiply(g, h)
+            assert multiply(gh, inverse(h)) == g
+        phi_alpha(g)
+        for x in points:
+            eval_pl(g, x)
+        almost_invariance(g, 2)
+    assert gram_psd_check(elements[:8], Fraction(1, 2)).is_psd
+    # text is written from the leaf depths too
+    texts = [format_element_literal(g) for g in elements] + [element_to_json(g) for g in elements]
+    assert calls == {"caret": 0, "tree_from_depths": 0}
+    # parsing builds trees, and the counters see them
+    assert [parse_element_literal(text) for text in texts[: len(elements)]] == elements
+    assert calls["caret"] > 0 and calls["tree_from_depths"] > 0
 
 
 def test_make_element_validation():

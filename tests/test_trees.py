@@ -13,14 +13,18 @@ from forestrep.oracles import enumerate_forests, path_words
 from forestrep.trees import (
     LEAF,
     PREFIX_TABLE_CAP,
+    Depths,
     Forest,
     Tree,
+    _assemble,
+    _co_walk,
     _prefix_table_size,
     caret,
     caret_positions,
     collapse_caret,
     complete_tree,
     compose,
+    depths,
     enumerate_trees,
     format_tree,
     graft,
@@ -223,10 +227,13 @@ def test_equal_trees_are_one_object():
             assert tree_from_depths([d for _, d in leaf_cells(t)]) is t
             for entry in subrooted_trees(t):
                 assert graft(entry.tree, residual_forest(t, entry.tree)) is t
-                assert merge_trees(entry.tree, t) is t and merge_trees(t, entry.tree) is t
+                assert merge_trees(depths(entry.tree), depths(t)) == depths(t)
+                assert merge_trees(depths(t), depths(entry.tree)) == depths(t)
             if t is not LEAF:
                 left, right = residual_forest(t, caret(LEAF, LEAF)).trees
                 assert left is t.left and right is t.right
+                # the constructor returns the interned caret
+                assert Tree(left, right) is t
     # deep combs built by different routes compare and hash without recursion
     comb = LEAF
     for _ in range(3000):
@@ -401,23 +408,64 @@ def test_deep_comb_walks_without_recursion():
 def test_prefix_table_refused_by_size():
     from forestrep.thompson import family_gn, family_kn
 
-    assert _prefix_table_size(family_kn(1).range) == 982
-    assert _prefix_table_size(family_kn(2).domain) == 98_308
-    g_100 = family_gn(100).range
+    assert _prefix_table_size(tree_from_depths(family_kn(1).range)) == 982
+    assert _prefix_table_size(tree_from_depths(family_kn(2).domain)) == 98_308
+    g_100 = tree_from_depths(family_gn(100).range)
     assert _prefix_table_size(g_100) == PREFIX_TABLE_CAP
     assert len(subrooted_trees.__wrapped__(g_100)) == 10_001  # at the cap: built, not cached
     comb = LEAF
     for _ in range(2000):
         comb = caret(comb, LEAF)
-    for t, size in ((family_kn(3).range, 491_736_872), (comb, 1_341_339_001)):
+    for t, size in ((tree_from_depths(family_kn(3).range), 491_736_872), (comb, 1_341_339_001)):
         with pytest.raises(ContractError, match=f"table of {size} entries, over the cap"):
             subrooted_trees(t)
+
+
+def _merge_by_co_walk(u: Tree, v: Tree) -> Tree:
+    """Reference merge on trees: walk both trees together and, where one has a
+    leaf, take the other's subtree there."""
+    return _assemble(((b if a is LEAF else a, d) for a, b, d in _co_walk(u, v)), caret)
+
+
+def _split_tree(rng, n: int) -> Tree:
+    return tree_from_splits(rng.randint(1, k) for k in range(1, n))
+
+
+def test_merge_trees_matches_tree_merge():
+    trees = [t for n in range(1, 8) for t in enumerate_trees(n)]
+    for u in trees:
+        for v in trees:
+            merged = merge_trees(depths(u), depths(v))
+            assert type(merged) is Depths and merged == depths(_merge_by_co_walk(u, v))
+    rng = random.Random(7)
+    for n in (50, 100, 200, 400, 600):
+        for _ in range(4):
+            u, v = _split_tree(rng, n), _split_tree(rng, rng.randint(50, 600))
+            assert merge_trees(depths(u), depths(v)) == depths(_merge_by_co_walk(u, v))
+    # 2,000-leaf combs, against each other and against a seeded tree
+    left = parse_tree(" ".join(["f1"] * 1999))
+    right = parse_tree(" ".join(f"f{i}" for i in range(1999, 0, -1)))
+    seeded = _split_tree(rng, 2000)
+    for u in (left, right, seeded):
+        for v in (left, right, seeded):
+            assert merge_trees(depths(u), depths(v)) == depths(_merge_by_co_walk(u, v))
+
+
+def test_depths_cells_match_leaf_cells():
+    trees = [t for n in range(1, 9) for t in enumerate_trees(n)]
+    rng = random.Random(9)
+    trees += [_split_tree(rng, n) for n in (50, 200, 600)]
+    trees += [parse_tree(" ".join(["f1"] * 1999)), parse_tree(" ".join(f"f{i}" for i in range(1999, 0, -1)))]
+    for t in trees:
+        d = depths(t)
+        assert d.leaf_count == t.leaf_count and tree_from_depths(d) is t
+        assert d.cells() == leaf_cells(tree_from_depths(d)) == leaf_cells(t)
 
 
 def test_merge_and_residual():
     u = parse_tree("f1 f1")
     v = parse_tree("f2 f1")
-    w = merge_trees(u, v)
+    w = tree_from_depths(merge_trees(depths(u), depths(v)))
     assert w == parse_tree("f3 f1 f1")
     assert graft(u, residual_forest(w, u)) == w
     assert graft(v, residual_forest(w, v)) == w
