@@ -88,6 +88,15 @@ def _class_sum(g: VElement) -> RingElem:
     internal nodes and weighs (alpha beta)^(nodes).  A matched pair is a set
     of classes whose range nodes cover the range leaves once (the state-sum
     picture of Jones, arXiv:1412.7740), and the sum carries one alpha^-2.
+
+    Before any node table is built, a two-sided caret test settles most
+    elements.  A node can be cut when every strand below it can be cut that
+    high, so every node below a cuttable node can be cut too, and a cuttable
+    internal node has a cuttable caret (two sibling leaves whose strands
+    both have a cut height >= 1) below it.  A nontrivial class holds
+    internal nodes of both trees, cut at one height h >= 1 on its strands.
+    So if either tree has no cuttable caret, every nontrivial class
+    conflicts and the whole trees are the only match: alpha^(2n - 2).
     """
     range_cells, domain_cells = g.range.cells(), g.domain.cells()
     n = len(range_cells)
@@ -99,10 +108,9 @@ def _class_sum(g: VElement) -> RingElem:
         c2, d2 = domain_cells[j]
         diff = c ^ c2
         top.append(min(d, d2, (diff & -diff).bit_length() - 1) if diff else min(d, d2))
-    range_nodes = _viable_nodes(range_cells, [d - h for (_, d), h in zip(range_cells, top)])
-    if len(range_nodes) == n:
-        # no internal range node can be cut: the whole trees are the only match
+    if not _cuttable_caret(range_cells, top) or not _cuttable_caret(domain_cells, [top[i] for i in to_range]):
         return RingElem.term(2 * n - 2, 0)
+    range_nodes = _viable_nodes(range_cells, [d - h for (_, d), h in zip(range_cells, top)])
     domain_nodes = _viable_nodes(domain_cells, [d - top[i] for (_, d), i in zip(domain_cells, to_range)])
     # the closures below visit the leaves of each internal node at most once
     visits = sum(hi - lo for table in (range_nodes, domain_nodes) for lo, hi in table.values()) - 2 * n
@@ -156,6 +164,18 @@ def _class_sum(g: VElement) -> RingElem:
             "phi_alpha: nonzero beta component; matched terms must absorb beta in pairs"
         )
     return RingElem.expand(exponents)
+
+
+def _cuttable_caret(cells, top) -> bool:
+    """Whether some caret, two sibling leaf cells (c - 1, d) and (c, d) with
+    c odd, has both strands cuttable: top, the largest cut height of each
+    leaf's strand in cell order, is at least 1 on both."""
+    before = depth = 0  # the previous leaf's top and depth
+    for (c, d), h in zip(cells, top):
+        if h and before and d == depth and c & 1:
+            return True
+        before, depth = h, d
+    return False
 
 
 def _viable_nodes(cells, floor) -> dict:
@@ -291,8 +311,10 @@ def psd_ldlt(matrix) -> GramResult:
     diagonal entry, lowest index first.  A negative pivot (or diagonal entry
     beside a zero pivot), or a zero pivot alongside a nonzero residual
     off-diagonal entry, refutes PSD and is the witness, with its rational value.
+    Int and Fraction entries are taken as they are (an int is its own
+    numerator over 1); others are converted with Fraction().
     """
-    rows = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in matrix]
+    rows = [[v if type(v) is int or type(v) is Fraction else Fraction(v) for v in row] for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ContractError("psd_ldlt: the matrix is not square")
@@ -339,6 +361,13 @@ def gram_psd_check(elements, alpha) -> GramResult:
     since phi(g^-1) = phi(g); entries between equal elements, the diagonal
     included, are phi(identity) = 1.  A repeated element takes the row and
     column of its first occurrence.
+
+    With alpha = num/den and D the largest degree among the entries, each
+    entry sum c_k alpha^k goes to psd_ldlt as the integer numerator
+    sum c_k num^k den^(D - k) over den^D, from one table of the num^k
+    den^(D - k): an entry alpha^k, almost every entry on random words, is
+    one table value.  Scaling by den^D changes neither the pivot order nor
+    the verdict; it scales a witness value, which is divided back.
     """
     alpha = _exact_alpha("gram_psd_check", alpha)
     elements = list(elements)
@@ -347,12 +376,29 @@ def gram_psd_check(elements, alpha) -> GramResult:
     slot = [slots.setdefault(g, len(slots)) for g in elements]
     distinct = list(slots)
     m = len(distinct)
-    core = [[Fraction(1)] * m for _ in range(m)]
+    # {(a, b): k for an entry alpha^k, else its coefficients} above the
+    # diagonal; phi_alpha is beta-free, so the alpha part p is the whole
+    # polynomial
+    entries = {}
+    degree = 0
     for a in range(m - 1):
         inv = inverse(distinct[a])
         for b in range(a + 1, m):
-            core[a][b] = core[b][a] = phi_alpha(multiply(inv, distinct[b])).eval(alpha)
-    return psd_ldlt([[core[a][b] for b in slot] for a in slot])
+            p = phi_alpha(multiply(inv, distinct[b])).p
+            k = len(p) - 1
+            entries[a, b] = k if p.count(0) == k and p[k] == 1 else p
+            if k > degree:
+                degree = k
+    num, den = alpha.numerator, alpha.denominator
+    weight = [num**k * den**(degree - k) for k in range(degree + 1)]
+    scale = den**degree
+    core = [[scale] * m for _ in range(m)]
+    for (a, b), p in entries.items():
+        core[a][b] = core[b][a] = weight[p] if type(p) is int else sum(c * w for c, w in zip(p, weight))
+    result = psd_ldlt([[core[a][b] for b in slot] for a in slot])
+    if result.witness is None:
+        return result
+    return GramResult(False, {**result.witness, "value": result.witness["value"] / scale})
 
 
 # ---------------------------------------------------------------------------

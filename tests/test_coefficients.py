@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -351,6 +352,52 @@ def test_phi_alpha_matches_enumeration_on_families():
             assert phi_alpha(g) == enumerated_phi(g)
 
 
+def test_phi_alpha_matches_enumeration_on_all_small_v_only_elements():
+    # every reduced V_only element with at most 5 leaves: the caret test that
+    # settles most of them and the closures behind it, against prefix listing
+    elements = []
+    for n in range(1, 6):
+        trees = enumerate_trees(n)
+        for domain in trees:
+            for range_ in trees:
+                for images in itertools.permutations(range(1, n + 1)):
+                    g = VElement(domain, range_, Perm(images))
+                    if g.leaf_count == n and classify(g) == V_ONLY:
+                        elements.append(g)
+    assert len(elements) == 21052
+    for g in elements:
+        assert phi_alpha(g) == enumerated_phi(g)
+
+
+def _right_comb(k: int):
+    t = LEAF
+    for _ in range(k - 1):
+        t = caret(LEAF, t)
+    return t
+
+
+def _swapped_comb_pair(m: int) -> VElement:
+    """Range: a right comb of m leaves beside one leaf; domain: a right comb
+    of m + 1 leaves; the bijection swaps the last two leaves.  Every internal
+    node of the range's comb can be cut, but the domain's one caret holds
+    the strand of the range's last leaf, which cannot be cut."""
+    n = m + 1
+    return VElement(_right_comb(n), caret(_right_comb(m), LEAF), Perm((*range(1, n - 1), n, n - 1)))
+
+
+def test_caret_test_settles_elements_past_the_visit_cap():
+    for m in range(2, 8):
+        g = _swapped_comb_pair(m)
+        assert classify(g) == V_ONLY and g.leaf_count == m + 1
+        assert phi_alpha(g) == enumerated_phi(g) == RingElem.term(2 * m, 0)
+    # the range comb's internal nodes hold m(m + 1)/2 - 1 leaves: building the
+    # node tables for m = 4500 would take more leaf visits than the cap
+    # allows, but the domain has no cuttable caret, so no table is built
+    m = 4500
+    assert m * (m + 1) // 2 - 1 > coefficients.CLOSURE_VISIT_CAP
+    assert phi_alpha(_swapped_comb_pair(m)) == RingElem.term(2 * m, 0)
+
+
 def _disjoint_subsets(classes) -> Counter:
     """Reference for _cover_counts: every subset of pairwise disjoint classes."""
     out: Counter = Counter()
@@ -540,8 +587,53 @@ def test_psd_ldlt_matches_fraction_reference():
         matrix, singular = _random_symmetric(rng)
         result = psd_ldlt(matrix)
         assert result == _psd_ldlt_reference(matrix)
+        # the same matrix scaled to ints: taken as they are, with the
+        # verdict, witness and a Fraction value of the Fraction route
+        common = math.lcm(*(v.denominator for row in matrix for v in row))
+        ints = [[int(v * common) for v in row] for row in matrix]
+        scaled = psd_ldlt(ints)
+        assert scaled == psd_ldlt([[Fraction(v) for v in row] for row in ints]) == _psd_ldlt_reference(ints)
+        if result.witness is not None:
+            assert type(scaled.witness["value"]) is Fraction
+            assert scaled.witness == {**result.witness, "value": result.witness["value"] * common}
+        else:
+            assert scaled.is_psd
         kinds["singular" if singular else result.witness["kind"] if result.witness else "psd"] += 1
     assert min(kinds.values()) >= 100, kinds
+
+
+def test_gram_witness_is_rational_after_integer_fill(monkeypatch):
+    from forestrep.coefficients import psd_ldlt
+
+    elements = random_elements(7, 6, seed=3)
+    target = multiply(inverse(elements[1]), elements[4])
+    real_phi = coefficients.phi_alpha
+
+    def patched(g):
+        # the entry between elements 1 and 4, both ways, becomes 2
+        return RingElem((2,)) if g in (target, inverse(target)) else real_phi(g)
+
+    monkeypatch.setattr(coefficients, "phi_alpha", patched)
+    for alpha in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
+        full = [[phi_alpha_eval(multiply(inverse(gi), gj), alpha) for gj in elements] for gi in elements]
+        assert full[1][4] == full[4][1] == 2
+        result = gram_psd_check(elements, alpha)
+        assert not result.is_psd
+        assert result == psd_ldlt(full) == _psd_ldlt_reference(full)
+        assert type(result.witness["value"]) is Fraction
+
+
+def test_gram_degree_zero_and_alpha_ends():
+    # no entry off the diagonal, or none of positive degree: den^0 = 1
+    g = random_elements(1, 6, seed=3)[0]
+    for alpha in (Fraction(0), Fraction(1, 2), Fraction(1)):
+        assert gram_psd_check([], alpha) == GramResult(True, None)
+        assert gram_psd_check([g], alpha) == GramResult(True, None)
+        assert gram_psd_check([g, g], alpha) == GramResult(True, None)
+    # alpha = 0 gives the identity matrix, alpha = 1 the all-ones matrix
+    elements = random_elements(6, 6, seed=4)
+    for alpha in (0, 1, Fraction(0), Fraction(1)):
+        assert gram_psd_check(elements, alpha) == GramResult(True, None)
 
 
 def test_gram_matches_reference_on_full_matrix(monkeypatch):
