@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .errors import ContractError
@@ -203,61 +204,47 @@ def _cover_counts(classes, n: int) -> dict[tuple[int, int], int]:
     (nodes, range leaf mask) per nontrivial class; the leaves they leave
     uncovered are the trivial classes.
 
-    A memoised search without recursion: it takes the lowest uncovered leaf
-    that is the lowest leaf of some class, and either leaves it trivial or
-    covers it by one of those classes.  A state is the covered set cut down
-    to the leaves that later classes reach, so independent stretches share
-    their states; past COVER_STATE_CAP states it refuses.
+    A forward sweep over the decision leaves, the lowest leaves of classes,
+    in increasing order.  At each, an uncovered leaf is either left trivial
+    or covered by a disjoint class that starts there.  A state is the
+    covered set cut down to the leaves that later classes reach, so
+    independent stretches share their states; past COVER_STATE_CAP states
+    with an uncovered decision leaf, plus the end state, it refuses.
     """
     width = 1 + sum(nodes for nodes, _ in classes)
     options: dict[int, list[tuple[int, int]]] = {}
     for nodes, mask in classes:
         options.setdefault(mask & -mask, []).append((mask.bit_count() * width + nodes, mask))
-    decisions = sum(options)
-    reach = {}
+    lows = sorted(options)
+    # reach[i]: the leaves of the classes that start after lows[i]
+    reach = []
     later = 0
-    for low in sorted(options, reverse=True):
+    for low in reversed(lows):
+        reach.append(later)
         for _, mask in options[low]:
             later |= mask
-        reach[low] = later
-
-    def state(covered: int) -> int:
-        free = decisions & ~covered
-        if not free:
-            return -1
-        low = free & -free
-        return (covered & reach[low]) | (low - 1)
-
-    # memo[state]: {strands * width + nodes: count} over the rest of the cover
-    memo = {-1: {0: 1}}
-    first = state(0)
-    stack = [first]
-    while stack:
-        covered = stack[-1]
-        if covered in memo:
-            stack.pop()
-            continue
-        low = ~covered & (covered + 1)
-        moves = [(0, state(covered | low))] + [
-            (weight, state(covered | mask)) for weight, mask in options[low] if not mask & covered
-        ]
-        pending = [after for _, after in moves if after not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        if len(memo) >= COVER_STATE_CAP:
+    # {covered & reach: {strands * width + nodes: count}} over the cover so far
+    states = {0: {0: 1}}
+    visited = 1
+    for low, cut in zip(lows, reversed(reach)):
+        after: dict[int, dict[int, int]] = {}
+        for covered, counts in states.items():
+            moves = [(0, covered)]
+            if not covered & low:
+                visited += 1
+                moves += [(weight, covered | mask) for weight, mask in options[low] if not covered & mask]
+            for weight, taken in moves:
+                total = after.setdefault(taken & cut, {})
+                for key, count in counts.items():
+                    key += weight
+                    total[key] = total.get(key, 0) + count
+        if visited > COVER_STATE_CAP:
             raise ContractError(
                 f"phi_alpha: the cover sum of a {n}-leaf element visits more than"
                 f" the cap of {COVER_STATE_CAP} states"
             )
-        total = dict(memo[moves[0][1]])
-        for weight, after in moves[1:]:
-            for key, count in memo[after].items():
-                key += weight
-                total[key] = total.get(key, 0) + count
-        memo[covered] = total
-    return {divmod(key, width): count for key, count in memo[first].items()}
+        states = after
+    return {divmod(key, width): count for key, count in states[0].items()}
 
 
 def phi_alpha_eval(g: VElement, alpha) -> Fraction:
@@ -311,10 +298,10 @@ def psd_ldlt(matrix) -> GramResult:
     diagonal entry, lowest index first.  A negative pivot (or diagonal entry
     beside a zero pivot), or a zero pivot alongside a nonzero residual
     off-diagonal entry, refutes PSD and is the witness, with its rational value.
-    Int and Fraction entries are taken as they are (an int is its own
-    numerator over 1); others are converted with Fraction().
+    Entries are ints or Fractions, taken as they are (an int is its own
+    numerator over 1); anything else is refused, as by ``_exact``.
     """
-    rows = [[v if type(v) is int or type(v) is Fraction else Fraction(v) for v in row] for row in matrix]
+    rows = [[v if type(v) is int else _exact("psd_ldlt", "an entry", v) for v in row] for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ContractError("psd_ldlt: the matrix is not square")
@@ -365,9 +352,8 @@ def gram_psd_check(elements, alpha) -> GramResult:
     With alpha = num/den and D the largest degree among the entries, each
     entry sum c_k alpha^k goes to psd_ldlt as the integer numerator
     sum c_k num^k den^(D - k) over den^D, from one table of the num^k
-    den^(D - k): an entry alpha^k, almost every entry on random words, is
-    one table value.  Scaling by den^D changes neither the pivot order nor
-    the verdict; it scales a witness value, which is divided back.
+    den^(D - k).  Scaling by den^D changes neither the pivot order nor the
+    verdict; it scales a witness value, which is divided back.
     """
     alpha = _exact_alpha("gram_psd_check", alpha)
     elements = list(elements)
@@ -376,25 +362,20 @@ def gram_psd_check(elements, alpha) -> GramResult:
     slot = [slots.setdefault(g, len(slots)) for g in elements]
     distinct = list(slots)
     m = len(distinct)
-    # {(a, b): k for an entry alpha^k, else its coefficients} above the
-    # diagonal; phi_alpha is beta-free, so the alpha part p is the whole
-    # polynomial
+    # {(a, b): coefficients} above the diagonal; phi_alpha is beta-free, so
+    # the alpha part p is the whole polynomial
     entries = {}
-    degree = 0
     for a in range(m - 1):
         inv = inverse(distinct[a])
         for b in range(a + 1, m):
-            p = phi_alpha(multiply(inv, distinct[b])).p
-            k = len(p) - 1
-            entries[a, b] = k if p.count(0) == k and p[k] == 1 else p
-            if k > degree:
-                degree = k
+            entries[a, b] = phi_alpha(multiply(inv, distinct[b])).p
+    degree = max(map(len, entries.values()), default=1) - 1
     num, den = alpha.numerator, alpha.denominator
     weight = [num**k * den**(degree - k) for k in range(degree + 1)]
     scale = den**degree
     core = [[scale] * m for _ in range(m)]
     for (a, b), p in entries.items():
-        core[a][b] = core[b][a] = weight[p] if type(p) is int else sum(c * w for c, w in zip(p, weight))
+        core[a][b] = core[b][a] = sum(map(mul, p, weight))
     result = psd_ldlt([[core[a][b] for b in slot] for a in slot])
     if result.witness is None:
         return result

@@ -153,11 +153,14 @@ class RingElem:
 
     def eval(self, alpha: int | Fraction) -> Fraction:
         """Exact value at a rational alpha = n/d, given as an int or a Fraction
-        (only an int is wrapped); defined only for beta-free elements.
-        Horner in integers gives sum c_k n^k d^(deg-k), over d^deg at the end."""
+        (a float, string, bool, Decimal or Fraction subclass is refused);
+        defined only for beta-free elements.  Horner in integers gives
+        sum c_k n^k d^(deg-k), over d^deg at the end."""
         if self.q:
             raise ContractError("eval: element has a beta component")
-        n, d = (alpha if type(alpha) is Fraction else Fraction(alpha)).as_integer_ratio()
+        if type(alpha) is not Fraction and type(alpha) is not int:
+            raise ContractError(f"eval: alpha is a {type(alpha).__name__}, not an int or a Fraction")
+        n, d = alpha.as_integer_ratio()
         top, scale = 0, 1
         for c in reversed(self.p):
             top = top * n + c * scale

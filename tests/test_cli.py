@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -174,6 +175,21 @@ def test_readme_library_sketch_runs(capsys):
     exec(compile(block, "README.md", "exec"), {})
     expected = [line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")]
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):
+    # every documented command exits 0, run where its files are written
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "elements.txt").write_text("g\nh\nk\n", encoding="ascii")
+    monkeypatch.chdir(tmp_path)
+    lines = block.splitlines()
+    assert len(lines) == 13
+    for line in lines:
+        program, *argv = shlex.split(line, comments=True)
+        assert program == "forestrep"
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == "", line
 
 
 def test_cli_import_leaves_oracles_unloaded():

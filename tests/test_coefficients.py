@@ -415,10 +415,11 @@ def _disjoint_subsets(classes) -> Counter:
 
 def test_cover_counts_match_subset_enumeration():
     rng = random.Random(23)
-    for _ in range(300):
-        n = rng.randint(1, 12)
-        classes = [(rng.choice((4, 6, 8)), rng.randrange(1, 1 << n)) for _ in range(rng.randint(0, 8))]
-        assert _cover_counts(classes, n) == _disjoint_subsets(classes)
+    for most in (8, 10):
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            classes = [(rng.choice((4, 6, 8)), rng.randrange(1, 1 << n)) for _ in range(rng.randint(0, most))]
+            assert _cover_counts(classes, n) == _disjoint_subsets(classes)
 
 
 def test_cover_counts_share_states_across_independent_stretches():
@@ -441,6 +442,12 @@ def test_cover_counts_refuse_past_the_state_cap(monkeypatch):
     assert sum(_cover_counts(classes, 3 * m).values()) == 3**m
     monkeypatch.setattr(coefficients, "COVER_STATE_CAP", 2**m)
     with pytest.raises(ContractError, match="cap of 4096 states"):
+        _cover_counts(classes, 3 * m)
+    # the threshold: 2^(m+1) - 1 states, the end state included
+    monkeypatch.setattr(coefficients, "COVER_STATE_CAP", 2 ** (m + 1) - 1)
+    assert sum(_cover_counts(classes, 3 * m).values()) == 3**m
+    monkeypatch.setattr(coefficients, "COVER_STATE_CAP", 2 ** (m + 1) - 2)
+    with pytest.raises(ContractError, match="cap of 8190 states"):
         _cover_counts(classes, 3 * m)
 
 
@@ -526,6 +533,18 @@ def test_psd_ldlt_witnesses():
     # the kernel relies on symmetry: x = (2, -1) gives -2 on [[1, 2], [3, 4]]
     with pytest.raises(ContractError, match="not symmetric"):
         psd_ldlt([[1, 2], [3, 4]])
+
+
+def test_psd_ldlt_entries_must_be_exact():
+    from forestrep.coefficients import psd_ldlt
+
+    # Fraction() would take each of these, the float by its binary value
+    for bad in (0.5, "1/2", Decimal("0.5"), True, _FractionSubclass(1, 2)):
+        with pytest.raises(ContractError, match=f"psd_ldlt: an entry is a {type(bad).__name__}, not an int"):
+            psd_ldlt([[1, bad], [bad, 1]])
+    half = Fraction(1, 2)
+    assert psd_ldlt([[1, half], [half, 1]]) == GramResult(True, None)
+    assert psd_ldlt([[half, 1], [1, half]]).witness == {"kind": "negative_pivot", "index": 1, "value": Fraction(-3, 2)}
 
 
 def _psd_ldlt_reference(matrix):

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,19 @@ def test_eval():
         assert type(poly.eval(alpha)) is Fraction
     with pytest.raises(ContractError):
         BETA.eval(Fraction(1, 2))
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
+def test_eval_refuses_inexact_alpha():
+    # Fraction() would take each of these, the float by its binary value
+    square = RingElem.term(2, 0)
+    for alpha in (0.1, "1/2", True, Decimal("0.5"), _FractionSubclass(1, 2)):
+        with pytest.raises(ContractError, match=f"eval: alpha is a {type(alpha).__name__}, not an int or a Fraction"):
+            square.eval(alpha)
+    assert square.eval(Fraction(1, 2)) == Fraction(1, 4) and square.eval(3) == 9
 
 
 def _horner_reference(coeffs, alpha: Fraction) -> Fraction:
