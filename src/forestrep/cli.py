@@ -12,6 +12,7 @@ import json
 import os
 import re
 import sys
+from contextlib import nullcontext
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -126,31 +127,33 @@ def _int_text(n: int) -> str:
             power *= power
 
 
-def _show_fraction(x: Fraction, as_float: bool = False) -> str:
-    if as_float:
-        return repr(float(x))
+def _show_fraction(x: Fraction) -> str:
     return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
 
 
+def _fraction_text(x: int | Fraction) -> str:
+    """x as str() writes it, at any size."""
+    return _int_text(x.numerator) if x.denominator == 1 else _show_fraction(x)
+
+
 def _emit_rows(rows, fieldnames, csv_path, out):
-    if csv_path:
-        try:
-            with open(csv_path, "w", newline="", encoding="ascii") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(fieldnames)
-                writer.writerows(rows)
-        except OSError as exc:
-            raise ContractError(f"cannot write {csv_path}: {exc.strerror or exc}") from exc
-    else:
-        writer = csv.writer(out)
-        writer.writerow(fieldnames)
-        writer.writerows(rows)
+    """The header and the rows as CSV to csv_path, else to out; int cells by _int_text."""
+    lines = [[_int_text(c) if type(c) is int else c for c in row] for row in [fieldnames, *rows]]
+    try:
+        with open(csv_path, "w", newline="", encoding="ascii") if csv_path else nullcontext(out) as fh:
+            csv.writer(fh).writerows(lines)
+    except OSError as exc:
+        if not csv_path:
+            raise
+        raise ContractError(f"cannot write {csv_path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_element(args, out) -> int:
+    if args.action != "multiply" and len(args.elements) != 1:
+        raise ContractError(f"element {args.action}: takes one element, got {len(args.elements)}")
     elems = [_load_element(e) for e in args.elements]
     if args.action == "reduce":
         print(format_element_literal(elems[0]), file=out)
@@ -169,12 +172,7 @@ def _cmd_element(args, out) -> int:
         if args.at is None:
             raise ContractError("element eval: --at is required")
         y = eval_pl(elems[0], parse_dyadic(args.at))
-        if args.float:
-            text = repr(float(y))
-        else:
-            # as str(Fraction) writes it, at any size
-            text = _int_text(y.numerator) if y.denominator == 1 else _show_fraction(y)
-        print(text, file=out)
+        print(repr(float(y)) if args.float else _fraction_text(y), file=out)
     return 0
 
 
@@ -183,14 +181,15 @@ def _cmd_phi(args, out) -> int:
     if args.symbolic:
         poly = phi_alpha(g)
         if args.coeffs:
-            print(json.dumps(list(poly.alpha_coefficients())), file=out)
+            # the list json.dumps would write, each coefficient by _int_text
+            print(f"[{', '.join(map(_int_text, poly.alpha_coefficients()))}]", file=out)
         else:
             print(str(poly), file=out)
     else:
         if args.alpha is None:
             raise ContractError("phi: give --alpha p/q or --symbolic")
         value = phi_alpha_eval(g, _parse_fraction(args.alpha))
-        print(_show_fraction(value, args.float), file=out)
+        print(repr(float(value)) if args.float else _show_fraction(value), file=out)
     return 0
 
 
@@ -212,7 +211,7 @@ def _cmd_scan(args, out) -> int:
     _emit_rows(rows, SWEEP_FIELDS, args.csv, out)
     for row in table:
         print(
-            f"# n={row.leaves} count={row.count}"
+            f"# n={_int_text(row.leaves)} count={_int_text(row.count)}"
             f" phi={_show_fraction(row.phi_value)}"
             f" max_deviation={_show_fraction(row.max_deviation)}",
             file=out,
@@ -240,7 +239,7 @@ def _cmd_gram(args, out) -> int:
     if result.is_psd:
         print("PSD", file=out)
     else:
-        witness = {k: str(v) for k, v in result.witness.items()}
+        witness = {k: v if k == "kind" else _fraction_text(v) for k, v in result.witness.items()}
         print(f"NOT-PSD {json.dumps(witness)}", file=out)
     return 0
 
@@ -249,7 +248,7 @@ def _cmd_farley(args, out) -> int:
     g = _load_element(args.element)
     decay = None if args.beta is None else farley_phi(g, _parse_fraction(args.beta))
     norm = farley_norm(g)
-    print(f"norm_sq={norm}", file=out)
+    print(f"norm_sq={_int_text(norm)}", file=out)
     poly = phi_alpha(g)
     print(f"phi_alpha={poly}", file=out)
     # the exponential-decay family sees g as phi_alpha does when phi_alpha(g)
@@ -257,7 +256,7 @@ def _cmd_farley(args, out) -> int:
     verdict = "matches" if poly == RingElem.term(norm, 0) else "differs"
     print(f"exponential-family={verdict}", file=out)
     if decay is not None:
-        print(f"decay=exp(-{decay.beta})^{decay.exponent}", file=out)
+        print(f"decay=exp(-{_fraction_text(decay.beta)})^{_int_text(decay.exponent)}", file=out)
         if args.float:
             print(f"decay_float={decay.as_float()!r}", file=out)
     return 0

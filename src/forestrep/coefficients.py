@@ -19,21 +19,10 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .errors import ContractError
+from .errors import ContractError, _exact
 from .ring import RingElem
 from .thompson import Perm, VElement, inverse, multiply
 from .trees import caret_positions, depths, enumerate_trees
-
-
-def _exact(where: str, name: str, value) -> Fraction:
-    """value as a Fraction, from an int or a Fraction only: Fraction() would
-    also take a float's binary value, a string, a bool or a Decimal.  A
-    Fraction is returned as it is."""
-    if type(value) is Fraction:
-        return value
-    if type(value) is not int:
-        raise ContractError(f"{where}: {name} is a {type(value).__name__}, not an int or a Fraction")
-    return Fraction(value)
 
 
 def _exact_alpha(where: str, alpha) -> Fraction:
@@ -262,7 +251,11 @@ class FarleyPhi(NamedTuple):
     exponent: int
 
     def as_float(self) -> float:
-        return math.exp(-float(self.beta) * self.exponent)
+        # float(beta) overflows only past the range where exp(-beta) is 0.0
+        try:
+            return math.exp(-float(self.beta) * self.exponent) if self.exponent else 1.0
+        except OverflowError:
+            return 0.0
 
 
 def farley_norm(g: VElement) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ContractError
+from .errors import ContractError, _exact
 
 
 def _trim(coeffs) -> tuple[int, ...]:
@@ -158,8 +158,7 @@ class RingElem:
         sum c_k n^k d^(deg-k), over d^deg at the end."""
         if self.q:
             raise ContractError("eval: element has a beta component")
-        if type(alpha) is not Fraction and type(alpha) is not int:
-            raise ContractError(f"eval: alpha is a {type(alpha).__name__}, not an int or a Fraction")
+        alpha = _exact("eval", "alpha", alpha)
         n, d = alpha.as_integer_ratio()
         top, scale = 0, 1
         for c in reversed(self.p):
@@ -186,7 +185,7 @@ class RingElem:
 def _coerce(x):
     if isinstance(x, RingElem):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return RingElem((x,))
     return NotImplemented
 

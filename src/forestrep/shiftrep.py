@@ -134,11 +134,12 @@ def _pairing(carrier: UnitVec, powers: Iterable[tuple[int, int]]) -> Fraction:
 
 def kn_coefficient(n: int, xi: Sequence, zeta_vec) -> Fraction:
     """Diagonal coefficient of the level-n commutator inflation on the
-    elementary tensor with the given 2^n slot vectors.
+    elementary tensor with the given 2^n slot vectors, each taken as a unit
+    vector.
 
     Computed by pairing the leaf shift powers of trees q and a, leaf by
-    leaf, with exact shifted inner products; equals C^(2^n) times the
-    product of the slot norms, with C = c_constant(zeta_vec).
+    leaf, with exact shifted inner products; equals C^(2^n), with
+    C = c_constant(zeta_vec).
     """
     if n < 0:
         raise ContractError("kn_coefficient: level must be >= 0")
@@ -148,19 +149,14 @@ def kn_coefficient(n: int, xi: Sequence, zeta_vec) -> Fraction:
             f"kn_coefficient: expected {2**n} slot vectors at level {n}, got {len(components)}"
         )
     zeta_vec = _as_unit(zeta_vec)
-    # q and a both hang the slot input under their first leaf, the cell with
-    # index 0, so every leaf pair has one carrier: the slot's own vector on
-    # the first pair, zeta_vec, alike in every slot, on the others
-    own, *shared = [
+    # q and a both hang the slot input under their first leaf, at the same
+    # shift power, so each slot's unit vector pairs with itself to <u, u> = 1;
+    # every other leaf pair carries zeta_vec, alike in every slot
+    _, *shared = [
         (left_run(*cell_q), left_run(*cell_a))
         for cell_q, cell_a in zip(leaf_cells(named_tree("q")), leaf_cells(named_tree("a")))
     ]
-    # equal slots pair alike; SparseVec is unhashable, so they are found by ==
-    distinct = [comp for k, comp in enumerate(components) if comp not in components[:k]]
-    total = _pairing(zeta_vec, shared) ** len(components)
-    for comp in distinct:
-        total *= _pairing(comp, [own]) ** components.count(comp)
-    return total
+    return _pairing(zeta_vec, shared) ** len(components)
 
 
 def _overlap(g: VElement, m: int) -> tuple[Fraction, int, int]:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .errors import ContractError, ParseError, _echo
+from .errors import ContractError, ParseError, _echo, _exact
 from .trees import (
     LEAF,
     Depths,
@@ -316,13 +316,12 @@ def parse_dyadic(text: str) -> Fraction:
 
 
 def eval_pl(g: VElement, x) -> Fraction:
-    """Apply g's piecewise-linear action to a dyadic point of [0, 1)."""
-    if not isinstance(x, (Fraction, int)):
-        raise ContractError("eval_pl: expected a dyadic Fraction")
-    x = Fraction(x)
+    """Apply g's piecewise-linear action to a dyadic point x of [0, 1), an int
+    or a Fraction (a float, bool or Fraction subclass is refused)."""
+    x = _exact("eval_pl", "x", x)
     num, den = x.numerator, x.denominator
     if den & (den - 1):
-        raise ContractError(f"{x} is not a dyadic rational")
+        raise ContractError("eval_pl: x is not a dyadic rational")
     if not 0 <= num < den:
         raise ContractError("eval_pl: argument must lie in [0, 1)")
     # x = num / 2^s; the domain cells end at ends[k] / 2^top, so x's cell is

@@ -10,8 +10,9 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
-from forestrep import coefficients
+from forestrep import cli, coefficients
 from forestrep.cli import SWEEP_FIELDS, _int_text, main
+from forestrep.coefficients import GramResult, farley_phi, phi_alpha_eval, vanishing_scan
 from forestrep.shiftrep import almost_invariance, invariance_bound
 from forestrep.thompson import (
     DYADIC_EXPONENT_CAP,
@@ -31,6 +32,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _exact_number(text: str) -> Fraction:
+    """A printed p/q or p, read at any size: Decimal takes past str()'s digit limit."""
+    return Fraction(*(int(Decimal(part)) for part in text.split("/")))
 
 
 def test_phi_symbolic(capsys):
@@ -65,6 +71,11 @@ def test_element_subcommands(capsys):
     assert code == 0 and out.strip() == "(f2 f1)/(f1 f1)"
     code, out, _ = run(capsys, "element", "reduce", "(f1 f1 f1)/(f1 f1 f1)")
     assert code == 0 and out.strip() == "./."
+    # every action but multiply takes one element, and refuses a second
+    for action, extra in (("reduce", []), ("inverse", []), ("classify", []), ("eval", ["--at", "1/2"])):
+        code, out, err = run(capsys, "element", action, "g", "h", *extra)
+        assert code == 1 and out == ""
+        assert err == f"contract violation: element {action}: takes one element, got 2\n"
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -332,7 +343,7 @@ def test_unwritable_csv_path(tmp_path, capsys):
         assert err.startswith(f"contract violation: cannot write {target}: ")
 
 
-def test_gram_files(tmp_path, capsys):
+def test_gram_files(tmp_path, capsys, monkeypatch):
     lines = tmp_path / "elements.txt"
     lines.write_text("g\nh\n(f1 f1)/(f2 f1)\n")
     code, out, _ = run(capsys, "gram", "--elements", str(lines), "--alpha", "1/2")
@@ -344,6 +355,15 @@ def test_gram_files(tmp_path, capsys):
     ]))
     code, out, _ = run(capsys, "gram", "--elements", str(blob), "--alpha", "1/4")
     assert code == 0 and out.strip() == "PSD"
+    # a witness prints its numbers as str() would, at any size
+    value = Fraction(-(10**5000), 3)
+    witness = {"kind": "zero_pivot_offdiagonal", "row": 0, "col": 1, "value": value}
+    monkeypatch.setattr(cli, "gram_psd_check", lambda elements, alpha: GramResult(False, witness))
+    code, out, _ = run(capsys, "gram", "--elements", str(blob), "--alpha", "1/4")
+    assert code == 0 and out.startswith("NOT-PSD ")
+    printed = json.loads(out.removeprefix("NOT-PSD "))
+    assert printed["kind"] == "zero_pivot_offdiagonal" and (printed["row"], printed["col"]) == ("0", "1")
+    assert _exact_number(printed["value"]) == value
 
 
 def test_farley(capsys):
@@ -356,6 +376,11 @@ def test_farley(capsys):
     assert "exponential-family=matches" in out
     code, out, err = run(capsys, "farley", "--element", "g", "--beta", "-1")
     assert code == 1 and out == "" and err.count("\n") == 1 and "contract violation" in err
+    # float(beta) overflows past about 1.8e308; exp(-beta * (2n - 2)) is 0.0
+    # long before, and 1.0 at exponent 0
+    for literal, expected in (("g", "0.0"), ("./.", "1.0")):
+        code, out, err = run(capsys, "farley", "--element", literal, "--beta", "1e400", "--float")
+        assert code == 0 and err == "" and out.endswith(f"decay_float={expected}\n")
 
 
 def test_farley_runs_the_cover_sum_once(capsys, monkeypatch):
@@ -412,6 +437,53 @@ def test_int_text_matches_decimal():
     cases.append((2**21 - 1) ** 16384)  # the numerator of the level-7 bound
     for n in cases:
         assert _int_text(n) == str(Decimal(n))
+
+
+def test_numbers_past_str_limits_print_exactly(tmp_path):
+    # past 4,300 digits str(int) raises, and each of these exited 1 with a traceback
+    env = _subprocess_env()
+
+    def cli_out(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "forestrep.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0 and proc.stderr == "", argv
+        return proc.stdout
+
+    g = builtin("g")
+    alpha = Fraction(1, 10**600)
+    rows = list(csv.reader(cli_out("sweep", "--element", "g", "--alphas", "1e-600").splitlines()))
+    assert rows[0] == SWEEP_FIELDS and len(rows) == 2
+    assert _exact_number(rows[1][2]) / _exact_number(rows[1][3]) == alpha
+    assert _exact_number(rows[1][4]) / _exact_number(rows[1][5]) == phi_alpha_eval(g, alpha)
+
+    alpha = Fraction(1, 10**2200)
+    table = vanishing_scan(alpha, 2)
+    expected = [
+        [format_element_literal(h), row.leaves, alpha, value] for row in table for h, value in row.values
+    ]
+    argv = ["scan-vanishing", "--alpha", "1e-2200", "--max-leaves", "2"]
+    out = cli_out(*argv)
+    target = tmp_path / "scan.csv"
+    summary = "".join(line for line in out.splitlines(True) if line.startswith("#"))
+    assert cli_out(*argv, "--csv", str(target)) == summary
+    for text in (out, target.read_text(encoding="ascii")):
+        rows = list(csv.reader(line for line in text.splitlines() if not line.startswith("#")))
+        assert rows[0] == SWEEP_FIELDS
+        assert [
+            [name, int(leaves), _exact_number(an) / _exact_number(ad), _exact_number(pn) / _exact_number(pd)]
+            for name, leaves, an, ad, pn, pd in rows[1:]
+        ] == expected
+    summaries = [line.split() for line in out.splitlines() if line.startswith("#")]
+    assert [
+        (int(n[2:]), int(count[6:]), _exact_number(phi[4:]), _exact_number(deviation[14:]))
+        for _, n, count, phi, deviation in summaries
+    ] == [(row.leaves, row.count, row.phi_value, row.max_deviation) for row in table]
+
+    decay = farley_phi(g, Fraction(10**4300))
+    line = cli_out("farley", "--element", "g", "--beta", "1e4300").splitlines()[-1]
+    beta, exponent = line.removeprefix("decay=exp(-").split(")^")
+    assert (_exact_number(beta), int(exponent)) == (decay.beta, decay.exponent) == (10**4300, 8)
 
 
 def test_oracle_json(capsys):

@@ -1,3 +1,4 @@
+import operator
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -46,6 +47,18 @@ def test_arithmetic_identities():
     assert ZERO + ALPHA == ALPHA
     assert -ALPHA + ALPHA == ZERO
     assert ALPHA**0 == ONE
+
+
+def test_arithmetic_refuses_bools():
+    # an int is a constant polynomial; a bool is not, as eval refuses it too
+    for op in (operator.add, operator.sub, operator.mul):
+        for x in (True, False):
+            with pytest.raises(TypeError):
+                op(ALPHA, x)
+            with pytest.raises(TypeError):
+                op(x, ALPHA)
+    assert (RingElem.term(0, 0) == True) is False and RingElem.term(0, 0) == 1
+    assert (ZERO == False) is False and ZERO == 0
 
 
 def test_eval():

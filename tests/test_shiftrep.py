@@ -30,6 +30,8 @@ from forestrep.trees import (
     caret,
     complete_tree,
     depths,
+    leaf_cells,
+    left_run,
     merge_trees,
     parse_tree,
     residual_forest,
@@ -217,10 +219,24 @@ def test_kn_coefficient_pairs_equal_slots_once(monkeypatch):
         assert kn_coefficient(n, [z] * 2**n, z) == Fraction(1575, 2048) ** (2**n)
         counts.append(len(calls))
     assert counts[0] > 0 and len(set(counts)) == 1
-    # equal slots given as distinct objects group too
+    # no slot is paired: slots given as distinct objects cost nothing more
     calls.clear()
     assert kn_coefficient(2, [zeta(1) for _ in range(4)], z) == Fraction(1575, 2048) ** 4
     assert len(calls) == counts[0]
+
+
+def test_kn_coefficient_slots_pair_to_one():
+    # q and a hang the slot input under their first leaf, at one shift power:
+    # that leaf pair has lag 0, so every unit slot vector pairs with itself to 1
+    cell_q, cell_a = leaf_cells(named_tree("q"))[0], leaf_cells(named_tree("a"))[0]
+    assert cell_q[0] == cell_a[0] == 0 and left_run(*cell_q) == left_run(*cell_a)
+    rng = random.Random(23)
+    z = zeta(1)
+    c = c_constant(z)
+    slots = [random_unit(rng), zeta(2), SparseVec({0: 3, 2: Fraction(-1, 2)}), Indicator(5)]
+    assert kn_coefficient(2, slots, z) == c**4
+    # 32,768 slots, each one pairing to 1
+    assert kn_coefficient(15, [z] * 2**15, z) == c ** (2**15)
 
 
 def test_kn_coefficient_arity():

@@ -368,6 +368,10 @@ def test_dyadic_arithmetic():
         parse_dyadic("1/0")
 
 
+class _FractionSubclass(Fraction):
+    pass
+
+
 def test_eval_pl_examples():
     ident = VElement.identity()
     for k in range(8):
@@ -376,10 +380,19 @@ def test_eval_pl_examples():
     assert eval_pl(x0(), Fraction(1, 2)) == Fraction(1, 4)
     assert eval_pl(x0(), Fraction(3, 4)) == Fraction(1, 2)
     assert eval_pl(rotation2(), Fraction(0)) == Fraction(1, 2)
-    with pytest.raises(ContractError):
-        eval_pl(x0(), Fraction(5, 4))
-    with pytest.raises(ContractError):
-        eval_pl(x0(), Fraction(1, 3))
+    assert eval_pl(rotation2(), 0) == Fraction(1, 2)
+    # one line each, under the eval_pl: prefix; Fraction() would take the
+    # bool, the float and the Fraction subclass, eval_pl refuses them
+    for x, reason in (
+        (Fraction(5, 4), "must lie in"),
+        (Fraction(1, 3), "is not a dyadic"),
+        (Fraction(1, 3**9000), "is not a dyadic"),
+        (False, "x is a bool, not an int or a Fraction"),
+        (0.5, "x is a float, not an int or a Fraction"),
+        (_FractionSubclass(1, 2), "x is a _FractionSubclass, not an int or a Fraction"),
+    ):
+        with pytest.raises(ContractError, match=f"^eval_pl: .*{reason}[^\n]*$"):
+            eval_pl(x0(), x)
 
 
 def test_eval_pl_matches_tree_descent():
