@@ -154,6 +154,8 @@ def _emit_rows(rows, fieldnames, csv_path, out):
 def _cmd_element(args, out) -> int:
     if args.action != "multiply" and len(args.elements) != 1:
         raise ContractError(f"element {args.action}: takes one element, got {len(args.elements)}")
+    if args.action != "eval" and (args.at is not None or args.float):
+        raise ContractError(f"element {args.action}: --at and --float apply only to eval")
     elems = [_load_element(e) for e in args.elements]
     if args.action == "reduce":
         print(format_element_literal(elems[0]), file=out)
@@ -177,6 +179,10 @@ def _cmd_element(args, out) -> int:
 
 
 def _cmd_phi(args, out) -> int:
+    if args.symbolic and (args.alpha is not None or args.float):
+        raise ContractError("phi: --symbolic takes no --alpha and no --float")
+    if args.coeffs and not args.symbolic:
+        raise ContractError("phi: --coeffs needs --symbolic")
     g = _load_element(args.element)
     if args.symbolic:
         poly = phi_alpha(g)
@@ -245,6 +251,8 @@ def _cmd_gram(args, out) -> int:
 
 
 def _cmd_farley(args, out) -> int:
+    if args.float and args.beta is None:
+        raise ContractError("farley: --float needs --beta")
     g = _load_element(args.element)
     decay = None if args.beta is None else farley_phi(g, _parse_fraction(args.beta))
     norm = farley_norm(g)
@@ -263,6 +271,8 @@ def _cmd_farley(args, out) -> int:
 
 
 def _cmd_kazhdan(args, out) -> int:
+    if args.json and args.csv:
+        raise ContractError(f"kazhdan {args.which}: --json and --csv exclude each other")
     if args.which == "kn":
         if not 0 <= args.n <= LEVEL_CAP:
             raise ContractError(f"kazhdan kn: level {args.n} outside 0..{LEVEL_CAP}")

@@ -12,10 +12,9 @@ builds no refined tree.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ContractError
 from .thompson import VElement, named_tree
@@ -75,9 +74,13 @@ class UnitVec:
         self.vec = vec
         self._norm_sq = norm_sq
 
+    def lag_ratio(self, lag: int) -> tuple[int, int]:
+        """<u, shift^lag u> as its numerator and denominator."""
+        return (self.vec.dot(self.vec.shift(lag)) / self._norm_sq).as_integer_ratio()
+
     def inner_shifts(self, a: int, b: int) -> Fraction:
         """<shift^a u, shift^b u>, which is <u, shift^(b-a) u>."""
-        return self.vec.dot(self.vec.shift(b - a)) / self._norm_sq
+        return Fraction(*self.lag_ratio(b - a))
 
     def __eq__(self, other):
         return isinstance(other, UnitVec) and self.vec == other.vec
@@ -90,12 +93,17 @@ class Indicator:
     __slots__ = ("h",)
 
     def __init__(self, h: int):
+        if type(h) is not int:
+            raise ContractError(f"Indicator: window length is a {type(h).__name__}, not an int")
         if h < 1:
             raise ContractError(f"Indicator: window length {h} is below 1")
         self.h = h
 
+    def lag_ratio(self, lag: int) -> tuple[int, int]:
+        return max(0, self.h - abs(lag)), self.h
+
     def inner_shifts(self, a: int, b: int) -> Fraction:
-        return Fraction(max(0, self.h - abs(b - a)), self.h)
+        return Fraction(*self.lag_ratio(b - a))
 
     def __eq__(self, other):
         return isinstance(other, Indicator) and self.h == other.h
@@ -123,13 +131,21 @@ def c_constant(z) -> Fraction:
     return z.inner_shifts(1, 0) ** 2 * z.inner_shifts(0, 2)
 
 
-def _pairing(carrier: UnitVec, powers: Iterable[tuple[int, int]]) -> Fraction:
-    """Product of <shift^a u, shift^b u> over the leaf pairs (a, b): one
-    shifted inner product per distinct lag b - a, raised to its count."""
-    lags = Counter(b - a for a, b in powers)
-    return math.prod(
-        (carrier.inner_shifts(0, lag) ** count for lag, count in lags.items()), start=Fraction(1)
-    )
+def _pairing(carrier: UnitVec | Indicator, lags: Counter) -> Fraction:
+    """Product of <u, shift^lag u> over a {lag: count} Counter, on integers;
+    lag 0 pairs a unit vector with itself to 1."""
+    num = den = 1
+    for lag, count in lags.items():
+        if lag:
+            n, d = carrier.lag_ratio(lag)
+            num *= n**count
+            den *= d**count
+    return Fraction(num, den)
+
+
+def _split_lags(k: int) -> dict[int, int]:
+    """{lag: count} of -left_run(r, k), r's trailing zero count, over r = 1..2^k - 1."""
+    return {-j: 1 << (k - 1 - j) for j in range(k)}
 
 
 def kn_coefficient(n: int, xi: Sequence, zeta_vec) -> Fraction:
@@ -144,19 +160,16 @@ def kn_coefficient(n: int, xi: Sequence, zeta_vec) -> Fraction:
     if n < 0:
         raise ContractError("kn_coefficient: level must be >= 0")
     components = [_as_unit(v) for v in xi]
-    if len(components) != 2**n:
-        raise ContractError(
-            f"kn_coefficient: expected {2**n} slot vectors at level {n}, got {len(components)}"
-        )
+    # a count of 2^n has n + 1 bits, so a wrong n is refused without building 2^n
+    if len(components).bit_length() != n + 1 or len(components) != 1 << n:
+        raise ContractError(f"kn_coefficient: level {n} takes 2^{n} slot vectors, got {len(components)}")
     zeta_vec = _as_unit(zeta_vec)
     # q and a both hang the slot input under their first leaf, at the same
     # shift power, so each slot's unit vector pairs with itself to <u, u> = 1;
     # every other leaf pair carries zeta_vec, alike in every slot
-    _, *shared = [
-        (left_run(*cell_q), left_run(*cell_a))
-        for cell_q, cell_a in zip(leaf_cells(named_tree("q")), leaf_cells(named_tree("a")))
-    ]
-    return _pairing(zeta_vec, shared) ** len(components)
+    _, *shared = zip(leaf_cells(named_tree("q")), leaf_cells(named_tree("a")))
+    lags = Counter(left_run(*cell_a) - left_run(*cell_q) for cell_q, cell_a in shared)
+    return _pairing(zeta_vec, lags) ** len(components)
 
 
 def _overlap(g: VElement, m: int) -> tuple[Fraction, int, int]:
@@ -174,7 +187,7 @@ def _overlap(g: VElement, m: int) -> tuple[Fraction, int, int]:
     with e < m splits into 2^(m-e) level-m cells, each with plain zeta in
     the reference vector: the first carries p after m - e more left turns,
     cell r > 0 carries left_run(r, m - e).  The overlap is the product over
-    these pairs, so the order of the cells does not matter.
+    these pairs, so only the count of each lag matters.
     """
     _check_level("almost_invariance", m)
     w = merge_trees(g.domain, Depths((m,) * 2**m))
@@ -186,17 +199,16 @@ def _overlap(g: VElement, m: int) -> tuple[Fraction, int, int]:
         moved += map((g.range[a] - g.domain[b]).__add__, w[starts[b] : ends[b]])
         source += range(starts[b], ends[b])
     w_cells = w.cells()
-    pairs = []
+    lags = Counter()
     for (c, e), t in zip(Depths(moved).cells(), source):
         i, d = w_cells[t]
         p = min(left_run(i, d), d - m)
         if e >= m:
-            pairs.append((p, min(left_run(c, e), e - m)))
+            lags[min(left_run(c, e), e - m) - p] += 1
         else:
-            k = m - e
-            pairs.append((k + p, 0))
-            pairs += [(left_run(r, k), 0) for r in range(1, 1 << k)]
-    return _pairing(zeta(m), pairs), max(w), max(moved)
+            lags[e - m - p] += 1
+            lags.update(_split_lags(m - e))
+    return _pairing(zeta(m), lags), max(w), max(moved)
 
 
 def almost_invariance(g: VElement, m: int) -> Fraction:

@@ -78,6 +78,32 @@ def test_element_subcommands(capsys):
         assert err == f"contract violation: element {action}: takes one element, got 2\n"
 
 
+def test_options_that_do_not_apply_are_refused(tmp_path, capsys, monkeypatch):
+    # each was once dropped silently with exit 0; now one line on stderr, exit 1
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["kazhdan", "kn", "--n", "1", "--m", "1", "--json", "--csv", "k.csv"],
+        ["kazhdan", "almost-invariant", "--element", "g", "--m", "1", "--json", "--csv", "k.csv"],
+        ["phi", "--element", "g", "--coeffs", "--alpha", "1/2"],
+        ["phi", "--element", "g", "--alpha", "1/2", "--symbolic"],
+        ["phi", "--element", "g", "--symbolic", "--float"],
+        ["farley", "--element", "g", "--float"],
+        ["element", "reduce", "g", "--at", "1/2"],
+        ["element", "inverse", "g", "--float"],
+        ["element", "multiply", "g", "h", "--float"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.count("\n") == 1, argv
+        assert err.startswith("contract violation: ") and "--" in err, argv
+    assert list(tmp_path.iterdir()) == []
+    # the options still apply where they belong
+    assert run(capsys, "element", "eval", "g", "--at", "1/2", "--float")[:2] == (0, "0.25\n")
+    code, out, _ = run(capsys, "farley", "--element", "g", "--beta", "1/2", "--float")
+    assert code == 0 and "decay_float=" in out
+    code, out, _ = run(capsys, "phi", "--element", "g", "--symbolic", "--coeffs")
+    assert code == 0 and out.startswith("[")
+
+
 def test_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "phi", "--element", "not a literal", "--symbolic")
     assert code == 2 and "parse error" in err

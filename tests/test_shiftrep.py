@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from forestrep.shiftrep import (
     c_constant,
     invariance_bound,
     kn_coefficient,
+    _split_lags,
     zeta,
 )
 from forestrep.thompson import (
@@ -121,6 +124,33 @@ def test_inner_shifts_matches_two_shifted_copies():
                 assert u.inner_shifts(a, b) == expected
 
 
+def test_lag_ratio_is_the_closed_form_of_inner_shifts():
+    # each carrier keeps one closed form: inner_shifts is its lag_ratio as a Fraction
+    rng = random.Random(29)
+    for u in [zeta(1), zeta(2), Indicator(1), Indicator(5)] + [random_unit(rng) for _ in range(10)]:
+        for a in range(-4, 5):
+            for b in range(-20, 21):
+                n, d = u.lag_ratio(b - a)
+                assert type(n) is int and type(d) is int and d > 0
+                assert u.inner_shifts(a, b) == Fraction(n, d)
+    assert Indicator(16).lag_ratio(-3) == (13, 16) and Indicator(16).lag_ratio(40) == (0, 16)
+
+
+def test_split_lags_count_the_left_runs():
+    # a cell split k levels above the level tree: level cells r = 1..2^k - 1
+    # carry lag -left_run(r, k); the closed form counts them without listing them
+    for k in range(1, 13):
+        assert _split_lags(k) == Counter(-left_run(r, k) for r in range(1, 1 << k))
+
+
+def test_indicator_takes_only_an_int_length():
+    # a bool, float or string length would reach the integer pairing unchecked
+    for h in (True, False, 2.5, 16.0, "16", None, Fraction(16)):
+        with pytest.raises(ContractError, match="window length is a .*, not an int$"):
+            Indicator(h)
+    assert Indicator(16) == zeta(1)
+
+
 def test_zero_vector_and_empty_window_refused():
     # neither has a unit direction, so no overlap is formed with them
     with pytest.raises(ContractError, match="zero vector"):
@@ -206,13 +236,13 @@ def test_kn_coefficient_random_unit_components():
 def test_kn_coefficient_pairs_equal_slots_once(monkeypatch):
     calls = []
     z = zeta(1)
-    original = type(z).inner_shifts
+    original = type(z).lag_ratio
 
-    def counted(self, a, b):
-        calls.append((a, b))
-        return original(self, a, b)
+    def counted(self, lag):
+        calls.append(lag)
+        return original(self, lag)
 
-    monkeypatch.setattr(type(z), "inner_shifts", counted)
+    monkeypatch.setattr(type(z), "lag_ratio", counted)
     counts = []
     for n in range(6):
         calls.clear()
@@ -243,6 +273,18 @@ def test_kn_coefficient_arity():
     z = zeta(1)
     with pytest.raises(ContractError):
         kn_coefficient(1, [z], z)
+    for n in (3, 10**6):
+        with pytest.raises(ContractError, match=rf"^kn_coefficient: level {n} takes 2\^{n} slot vectors, got 2$"):
+            kn_coefficient(n, [z, z], z)
+    # refused from the slot count's bit length: 2^(10^7) alone would take 1.25 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractError, match=r"level 10000000 takes 2\^10000000 slot"):
+            kn_coefficient(10**7, [z, z], z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
 
 
 # ---------------------------------------------------------------------------
