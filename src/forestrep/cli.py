@@ -17,6 +17,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 
 from .coefficients import (
+    _exact_alpha,
     farley_norm,
     farley_phi,
     gram_psd_check,
@@ -227,14 +228,13 @@ def _cmd_scan(args, out) -> int:
 
 def _cmd_sweep(args, out) -> int:
     g = _load_element(args.element)
-    label = format_element_literal(g)
-    rows = []
-    for text in args.alphas.split(","):
-        alpha = _parse_fraction(text)
-        value = phi_alpha_eval(g, alpha)
-        rows.append(
-            [label, g.leaf_count, alpha.numerator, alpha.denominator, value.numerator, value.denominator]
-        )
+    # every alpha is checked as phi_alpha_eval checks it, then phi is computed once
+    alphas = [_exact_alpha("phi_alpha_eval", _parse_fraction(text)) for text in args.alphas.split(",")]
+    poly, label = phi_alpha(g), format_element_literal(g)
+    rows = [
+        [label, g.leaf_count, a.numerator, a.denominator, v.numerator, v.denominator]
+        for a, v in ((a, poly.eval(a)) for a in alphas)
+    ]
     _emit_rows(rows, SWEEP_FIELDS, args.csv, out)
     return 0
 

@@ -34,13 +34,14 @@ def _exact_alpha(where: str, alpha) -> Fraction:
     return alpha
 
 
-# the closure classes of g_2000 (4,000 leaves) take 8,003,996 leaf visits and
-# about 2.6 s on a shared 2-vCPU VM; the visits grow quadratically along
-# nested classes like those of g_N
-CLOSURE_VISIT_CAP = 10_000_000
-# 2^16 cover states, each holding a 17-term polynomial, take about 0.8 s and
-# 71 MiB on a shared 2-vCPU VM; the count can double with each class
-COVER_STATE_CAP = 100_000
+# the 7,000-leaf block-reversed comb pair reaches 10^7 partner entries in 3 to
+# 4.5 s and 39 MiB on a shared 2-vCPU VM; g_N builds 4N.  A node builds at
+# most one entry per leaf below it: quadratic when those go to many partners
+CLOSURE_ENTRY_CAP = 10_000_000
+# a 993-leaf element whose cover states multiply writes 10^6 polynomial
+# entries in about 0.25 s and 47 MiB on a shared 2-vCPU VM; g_N writes N
+COVER_ENTRY_CAP = 1_000_000
+CUT = -1  # the parent of a root and of a node whose parent cannot be cut
 
 
 def phi_alpha(g: VElement) -> RingElem:
@@ -50,13 +51,13 @@ def phi_alpha(g: VElement) -> RingElem:
     leaves of the reduced pair.  On V_only elements it is the closure-class
     cover sum ``_class_sum``, which sums over the pairs of prefixes whose
     residual words match under the leaf bijection without listing them.
-    The result is always beta-free: an odd beta power, whose term is
-    positive on (0, 1) and so cannot cancel, would be a computation bug and
-    raises.
+    The rotation branch is a fast path of that route: on a reduced rotation
+    element neither tree has a caret whose two strands can both be cut, so
+    the caret test settles it (the cyclic-forest lemma).  The result is
+    always beta-free: an odd beta power, whose term is positive on (0, 1)
+    and so cannot cancel, would be a computation bug and raises.
     """
     if g.perm.rotation_offset() is not None:
-        # cyclic-forest lemma: only the whole trees match; any other matched
-        # prefix pair leaves a common caret under aligned leaves, which cancels
         return RingElem.term(farley_norm(g), 0)
     return _class_sum(g)
 
@@ -70,11 +71,13 @@ def _class_sum(g: VElement) -> RingElem:
     cuts each strand at one height h: the cut nodes of z and r sit h levels
     above the strand's two leaves, so h is at most both depths and the low h
     bits of the two cell indices, the residual words, agree.  Cutting at a
-    range node fixes h on its leaves, hence the domain nodes cut above their
-    partners, hence h on the leaves of those, and so on: each range node
-    closes to a class of range and domain nodes, dropped when some strand
-    gets two heights or some node cannot be cut.  Leaf strands are the
-    trivial classes (two leaf nodes, alpha^2); a nontrivial class holds only
+    node fixes h on its strands, hence its partners, the nodes of the other
+    tree cut there: a leaf's partner is the leaf at the other end of its
+    strand, a node's are the parents of its children's, or CUT when such a
+    parent cannot be cut.  Range nodes joined to their partners form the
+    classes, valid with no CUT, no overlap on either side (no strand cut
+    twice) and as many leaves on both sides.  Leaf strands are the trivial
+    classes (two leaf nodes, alpha^2); a nontrivial class holds only
     internal nodes and weighs (alpha beta)^(nodes).  A matched pair is a set
     of classes whose range nodes cover the range leaves once (the state-sum
     picture of Jones, arXiv:1412.7740), and the sum carries one alpha^-2.
@@ -100,59 +103,53 @@ def _class_sum(g: VElement) -> RingElem:
         top.append(min(d, d2, (diff & -diff).bit_length() - 1) if diff else min(d, d2))
     if not _cuttable_caret(range_cells, top) or not _cuttable_caret(domain_cells, [top[i] for i in to_range]):
         return RingElem.term(2 * n - 2, 0)
-    range_nodes = _viable_nodes(range_cells, [d - h for (_, d), h in zip(range_cells, top)])
-    domain_nodes = _viable_nodes(domain_cells, [d - top[i] for (_, d), i in zip(domain_cells, to_range)])
-    # the closures below visit the leaves of each internal node at most once
-    visits = sum(hi - lo for table in (range_nodes, domain_nodes) for lo, hi in table.values()) - 2 * n
-    if visits > CLOSURE_VISIT_CAP:
-        raise ContractError(
-            f"phi_alpha: closing the classes of a {n}-leaf element takes up to {visits}"
-            f" leaf visits, over the cap of {CLOSURE_VISIT_CAP}"
-        )
-    # per side: the node table, the other side's, each leaf's depth and the
-    # cell at the other end of its strand
-    sides = (
-        (range_nodes, domain_nodes, g.range, [domain_cells[j] for j in to_domain]),
-        (domain_nodes, range_nodes, g.domain, [range_cells[i] for i in to_range]),
-    )
+    range_up = _viable_nodes(g.range, [d - h for d, h in zip(g.range, top)], 0)
+    domain_up = _viable_nodes(g.domain, [d - top[i] for d, i in zip(g.domain, to_range)], 1)
+    stride = n + 1
+    link = {CUT: CUT}  # union-find over CUT, the internal range nodes and their partners
+    def find(x: int) -> int:
+        while link[x] != x:
+            link[x] = x = link[link[x]]
+        return x
+    below: dict[int, list[set]] = {}  # the partner sets of the children built so far
+    entries = 0
+    for node, parent in range_up.items():
+        if node in below:
+            own = {domain_up.get(p, CUT) for part in below.pop(node) for p in part}
+            entries += len(own)
+            if entries > CLOSURE_ENTRY_CAP:
+                raise ContractError(
+                    f"phi_alpha: closing the classes of a {n}-leaf element builds more than"
+                    f" the cap of {CLOSURE_ENTRY_CAP} partner entries"
+                )
+            link[node] = node
+            for p in own:
+                link[find(link.setdefault(p, p))] = node
+        else:  # a leaf
+            j = to_domain[(node >> 1) // stride]
+            own = {(j * stride + j + 1) << 1 | 1}
+        if parent != CUT:
+            below.setdefault(parent, []).append(own)
+    members: dict[int, list[int]] = {}
+    for x in link:
+        members.setdefault(find(x), []).append(x)
+    del members[find(CUT)]
     classes = []
-    seen = set()
-    for start, (lo, hi) in range_nodes.items():
-        if hi - lo == 1 or (0, start) in seen:
-            continue
-        # explore the whole class, conflicts included, so that each node is
-        # visited once; a strand cut at two heights shows as two nodes of one
-        # side sharing a leaf
-        seen.add((0, start))
-        work = [(0, start)]
-        masks = [0, 0]
-        conflict = False
-        nodes = 0
-        while work:
-            side, (c, e) = work.pop()
-            table, other_table, depths, ends = sides[side]
-            lo, hi = table[(c, e)]
-            bits = (1 << hi) - (1 << lo)
-            conflict = conflict or bool(masks[side] & bits)
-            masks[side] |= bits
-            nodes += 1
-            # the other side's node cut on each strand, d - e levels up
-            for key in {(c2 >> (d - e), d2 - d + e) for d, (c2, d2) in zip(depths[lo:hi], ends[lo:hi])}:
-                if key not in other_table:
-                    conflict = True
-                elif (1 - side, key) not in seen:
-                    seen.add((1 - side, key))
-                    work.append((1 - side, key))
-        if not conflict:
-            classes.append((nodes, masks[0]))
+    for nodes in members.values():
+        masks, sizes = [0, 0], [0, 0]  # the leaves of the class on each side
+        for x in nodes:
+            first, end = divmod(x >> 1, stride)
+            masks[x & 1] |= (1 << end) - (1 << first)
+            sizes[x & 1] += end - first
+        # no two nodes of one side overlap, and both sides hold as many leaves
+        if masks[0].bit_count() == sizes[0] == sizes[1] == masks[1].bit_count():
+            classes.append((len(nodes), masks[0]))
     exponents = {
         (2 * (n - strands) + nodes - 2, nodes): count
         for (strands, nodes), count in _cover_counts(classes, n).items()
     }
     if any(beta_exp % 2 for _, beta_exp in exponents):
-        raise ArithmeticError(
-            "phi_alpha: nonzero beta component; matched terms must absorb beta in pairs"
-        )
+        raise ArithmeticError("phi_alpha: nonzero beta component; matched terms must absorb beta in pairs")
     return RingElem.expand(exponents)
 
 
@@ -168,24 +165,27 @@ def _cuttable_caret(cells, top) -> bool:
     return False
 
 
-def _viable_nodes(cells, floor) -> dict:
-    """{(index, depth): (first leaf, end leaf)} of the leaves and of the
-    internal nodes that can be cut: a node at depth e is viable when every
-    leaf below it has floor <= e, i.e. its strand can be cut e levels from
-    the root.  Built shift-reduce over the leaf cells, as trees._assemble
-    builds a tree."""
-    nodes = {}
-    stack: list[tuple[int, int, int, int]] = []
-    for k, ((c, d), low) in enumerate(zip(cells, floor)):
-        nodes[(c, d)] = (k, k + 1)
-        first = k
-        while stack and stack[-1][1] == d:
-            _, _, first, other = stack.pop()
-            c, d, low = c >> 1, d - 1, max(low, other)
-            if d >= low:
-                nodes[(c, d)] = (first, k + 1)
-        stack.append((c, d, first, low))
-    return nodes
+def _viable_nodes(depths, floor, side: int) -> dict[int, int]:
+    """{node: parent or CUT} over the nodes that can be cut, children first:
+    a node at depth e can be cut when every leaf below it has floor <= e,
+    i.e. its strand can be cut e levels from the root.  A node is the int
+    (first leaf * (n + 1) + end leaf) * 2 + side.  Built shift-reduce over
+    the leaf depths, as trees._assemble builds a tree."""
+    stride = len(depths) + 1
+    up = {}
+    stack: list[tuple[int, int, int, int]] = []  # (depth, first leaf, floor, node)
+    for k, (d, low) in enumerate(zip(depths, floor)):
+        first, node = k, (k * stride + k + 1) << 1 | side
+        while stack and stack[-1][0] == d:
+            _, first, other, left = stack.pop()
+            d, low = d - 1, max(low, other)
+            parent = (first * stride + k + 1) << 1 | side if d >= low else CUT
+            up[left] = up[node] = parent
+            node = parent
+        stack.append((d, first, low, node))
+    up[node] = CUT
+    up.pop(CUT, None)
+    return up
 
 
 def _cover_counts(classes, n: int) -> dict[tuple[int, int], int]:
@@ -197,8 +197,8 @@ def _cover_counts(classes, n: int) -> dict[tuple[int, int], int]:
     in increasing order.  At each, an uncovered leaf is either left trivial
     or covered by a disjoint class that starts there.  A state is the
     covered set cut down to the leaves that later classes reach, so
-    independent stretches share their states; past COVER_STATE_CAP states
-    with an uncovered decision leaf, plus the end state, it refuses.
+    independent stretches share their states.  It refuses before the
+    polynomial entries that the moves write pass COVER_ENTRY_CAP.
     """
     width = 1 + sum(nodes for nodes, _ in classes)
     options: dict[int, list[tuple[int, int]]] = {}
@@ -214,24 +214,24 @@ def _cover_counts(classes, n: int) -> dict[tuple[int, int], int]:
             later |= mask
     # {covered & reach: {strands * width + nodes: count}} over the cover so far
     states = {0: {0: 1}}
-    visited = 1
+    written = 0
     for low, cut in zip(lows, reversed(reach)):
         after: dict[int, dict[int, int]] = {}
         for covered, counts in states.items():
             moves = [(0, covered)]
             if not covered & low:
-                visited += 1
                 moves += [(weight, covered | mask) for weight, mask in options[low] if not covered & mask]
+            written += len(moves) * len(counts)
+            if written > COVER_ENTRY_CAP:
+                raise ContractError(
+                    f"phi_alpha: the cover sum of a {n}-leaf element writes more than"
+                    f" the cap of {COVER_ENTRY_CAP} polynomial entries"
+                )
             for weight, taken in moves:
                 total = after.setdefault(taken & cut, {})
                 for key, count in counts.items():
                     key += weight
                     total[key] = total.get(key, 0) + count
-        if visited > COVER_STATE_CAP:
-            raise ContractError(
-                f"phi_alpha: the cover sum of a {n}-leaf element visits more than"
-                f" the cap of {COVER_STATE_CAP} states"
-            )
         states = after
     return {divmod(key, width): count for key, count in states[0].items()}
 

@@ -186,17 +186,29 @@ def test_large_elements_need_no_prefix_tables(capsys):
 
 
 def test_cover_sum_refusals(capsys, monkeypatch):
-    # g_10000's nested classes would take about 2 * 10^8 leaf visits: refused
-    # before any closure is built
+    # g_10000's nested classes close in linear time: it answers, on the
+    # closed form (1 + a^2) phi = a^2 (1 - a^2) + 2 a^(4N) at a = 1/2
     start = time.perf_counter()
-    code, out, err = run(capsys, "phi", "--element", "g_10000", "--symbolic")
-    assert code == 1 and out == "" and err.count("\n") == 1
-    assert "leaf visits, over the cap of 10000000" in err
+    code, out, err = run(capsys, "phi", "--element", "g_10000", "--alpha", "1/2")
+    assert code == 0 and err == ""
+    assert _exact_number(out) == Fraction(3, 20) + Fraction(8, 5) / 2**40000
     assert time.perf_counter() - start < 10
-    monkeypatch.setattr(coefficients, "COVER_STATE_CAP", 1)
+    # a comb pair whose nested nodes each have many partners is refused by
+    # the closure cap
+    images = []
+    for first in range(1, 7000, 1750):
+        images += reversed(range(first, min(first + 1750, 7000)))
+    comb = f"({' '.join(f'f{i}' for i in range(6999, 0, -1))})"
+    literal = f"{comb}/{comb}~[{','.join(map(str, images))},7000]"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "phi", "--element", literal, "--symbolic")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert "closing the classes of a 7000-leaf element builds more than the cap of 10000000 partner entries" in err
+    assert time.perf_counter() - start < 10
+    monkeypatch.setattr(coefficients, "COVER_ENTRY_CAP", 1)
     code, out, err = run(capsys, "phi", "--element", "g_40", "--symbolic")
     assert code == 1 and out == "" and err.count("\n") == 1
-    assert "the cover sum of a 80-leaf element visits more than the cap of 1 states" in err
+    assert "the cover sum of a 80-leaf element writes more than the cap of 1 polynomial entries" in err
 
 
 def _subprocess_env() -> dict:
@@ -415,6 +427,18 @@ def test_farley_runs_the_cover_sum_once(capsys, monkeypatch):
     monkeypatch.setattr(coefficients, "_class_sum", lambda g: calls.append(g) or class_sum(g))
     code, out, _ = run(capsys, "farley", "--element", "g_3")
     assert code == 0 and len(calls) == 1 and out.endswith("exponential-family=differs\n")
+
+
+def test_sweep_runs_the_cover_sum_once(capsys, monkeypatch):
+    calls = []
+    class_sum = coefficients._class_sum
+    monkeypatch.setattr(coefficients, "_class_sum", lambda g: calls.append(g) or class_sum(g))
+    code, out, _ = run(capsys, "sweep", "--element", "g_3", "--alphas", "0,1/2,1")
+    assert code == 0 and len(calls) == 1 and out.count("\n") == 4
+    # the alphas are all checked first, with phi_alpha_eval's message
+    code, out, err = run(capsys, "sweep", "--element", "g_3", "--alphas", "1/2,3/2,x")
+    assert code == 1 and out == "" and len(calls) == 1
+    assert err == "contract violation: phi_alpha_eval: alpha must lie in [0, 1]\n"
 
 
 def test_kazhdan_kn(capsys):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -55,6 +56,7 @@ from forestrep.trees import (
     enumerate_trees,
     parse_tree,
     subrooted_trees,
+    tree_from_splits,
 )
 
 
@@ -293,7 +295,7 @@ def test_phi_alpha_gn_closed_form():
     # (1 + alpha^2) phi_alpha(g_N) = alpha^2 (1 - alpha^2) + 2 alpha^(4N): the
     # cover sum on a whole family, checked without listing prefixes
     a2 = ALPHA * ALPHA
-    for n in [*range(2, 61), 200, 500]:
+    for n in [*range(2, 61), 200, 500, 2000, 10000]:
         assert (ONE + a2) * phi_alpha(family_gn(n)) == a2 * (ONE - a2) + 2 * RingElem.term(4 * n, 0), n
 
 
@@ -324,10 +326,24 @@ def test_phi_alpha_eval_on_small_rotation_pairs():
             assert phi_alpha_eval(g, alpha) == alpha ** (2 * len(g.perm.images) - 2)
 
 
-def test_class_sum_gives_the_closed_form_on_rotation_pairs():
+def test_class_sum_gives_the_closed_form_on_rotation_pairs(monkeypatch):
     # the cover sum, called past the rotation fast path, knows nothing of the
-    # cyclic-forest lemma: an independent check of it
-    for g in reduced_rotation_elements(6):
+    # cyclic-forest lemma: an independent check of it.  Its caret test
+    # settles every reduced rotation element before any node table is built,
+    # so the rotation branch of phi_alpha is a fast path of the general route
+    def no_table(*args):
+        raise AssertionError("a node table was built")
+
+    monkeypatch.setattr(coefficients, "_viable_nodes", no_table)
+    elements = list(reduced_rotation_elements(6))
+    assert len(elements) == 6964
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(2, 299)
+        shapes = [tree_from_splits(rng.randint(1, k) for k in range(1, n)) for _ in range(2)]
+        elements.append(VElement(*shapes, Perm.rotation(n, rng.randrange(n))))
+    assert max(g.leaf_count for g in elements) > 200
+    for g in elements:
         assert _class_sum(g) == RingElem.term(2 * g.leaf_count - 2, 0)
 
 
@@ -350,6 +366,10 @@ def test_phi_alpha_matches_enumeration_on_families():
             rng.shuffle(images)
             g = VElement(t, t, Perm(images))
             assert phi_alpha(g) == enumerated_phi(g)
+    # nested nodes with many partners each, which build node tables
+    for n, block in ((12, 4), (40, 10)):
+        g = _block_reversed_comb_pair(n, block)
+        assert phi_alpha(g) == enumerated_phi(g)
 
 
 def test_phi_alpha_matches_enumeration_on_all_small_v_only_elements():
@@ -385,17 +405,32 @@ def _swapped_comb_pair(m: int) -> VElement:
     return VElement(_right_comb(n), caret(_right_comb(m), LEAF), Perm((*range(1, n - 1), n, n - 1)))
 
 
-def test_caret_test_settles_elements_past_the_visit_cap():
+def test_caret_test_settles_elements_past_the_visit_cap(monkeypatch):
     for m in range(2, 8):
         g = _swapped_comb_pair(m)
         assert classify(g) == V_ONLY and g.leaf_count == m + 1
         assert phi_alpha(g) == enumerated_phi(g) == RingElem.term(2 * m, 0)
-    # the range comb's internal nodes hold m(m + 1)/2 - 1 leaves: building the
-    # node tables for m = 4500 would take more leaf visits than the cap
-    # allows, but the domain has no cuttable caret, so no table is built
-    m = 4500
-    assert m * (m + 1) // 2 - 1 > coefficients.CLOSURE_VISIT_CAP
-    assert phi_alpha(_swapped_comb_pair(m)) == RingElem.term(2 * m, 0)
+    # the range comb's internal nodes hold m(m + 1)/2 - 1 leaves, but the
+    # domain has no cuttable caret, so no node table is built
+    tables = []
+    viable_nodes = coefficients._viable_nodes
+    monkeypatch.setattr(coefficients, "_viable_nodes", lambda *args: tables.append(args) or viable_nodes(*args))
+    assert phi_alpha(_swapped_comb_pair(4500)) == RingElem.term(2 * 4500, 0)
+    assert tables == []
+    # the test does see a table when one is built
+    assert phi_alpha(family_gn(3)) != RingElem.term(10, 0)
+    assert len(tables) == 2
+
+
+def _block_reversed_comb_pair(n: int, block: int) -> VElement:
+    """Right combs of n leaves on both sides; the bijection reverses each run
+    of block leaves among the first n - 1 and fixes the last.  A spine node
+    sends its leaves to domain nodes at as many depths as the offsets within
+    a block, so the partner entries grow quadratically."""
+    images = []
+    for start in range(1, n, block):
+        images += reversed(range(start, min(start + block, n)))
+    return VElement(_right_comb(n), _right_comb(n), Perm((*images, n)))
 
 
 def _disjoint_subsets(classes) -> Counter:
@@ -440,15 +475,52 @@ def test_cover_counts_refuse_past_the_state_cap(monkeypatch):
     classes = [(4, 1 << j | 1 << (m + 2 * j)) for j in range(m)]
     classes += [(4, 3 << (m + 2 * j)) for j in range(m)]
     assert sum(_cover_counts(classes, 3 * m).values()) == 3**m
-    monkeypatch.setattr(coefficients, "COVER_STATE_CAP", 2**m)
-    with pytest.raises(ContractError, match="cap of 4096 states"):
+    monkeypatch.setattr(coefficients, "COVER_ENTRY_CAP", 2**m)
+    with pytest.raises(ContractError, match="cap of 4096 polynomial entries"):
         _cover_counts(classes, 3 * m)
-    # the threshold: 2^(m+1) - 1 states, the end state included
-    monkeypatch.setattr(coefficients, "COVER_STATE_CAP", 2 ** (m + 1) - 1)
+    # the threshold: the X stretch writes one entry per move, 2^(j + 1) at
+    # X_j; before Y_j each of the 2^(m - j) states holds j + 1 entries, and
+    # half of them can also take Y_j, so 3 (j + 1) 2^(m - j - 1) at Y_j;
+    # 2^(m + 3) - 3m - 8 in all
+    written = 2 ** (m + 3) - 3 * m - 8
+    assert written == sum(2 ** (j + 1) + 3 * (j + 1) * 2 ** (m - j - 1) for j in range(m))
+    monkeypatch.setattr(coefficients, "COVER_ENTRY_CAP", written)
     assert sum(_cover_counts(classes, 3 * m).values()) == 3**m
-    monkeypatch.setattr(coefficients, "COVER_STATE_CAP", 2 ** (m + 1) - 2)
-    with pytest.raises(ContractError, match="cap of 8190 states"):
+    monkeypatch.setattr(coefficients, "COVER_ENTRY_CAP", written - 1)
+    with pytest.raises(ContractError, match=f"cap of {written - 1} polynomial entries"):
         _cover_counts(classes, 3 * m)
+
+
+def test_cover_sum_refuses_an_exponential_element_early():
+    # complete trees of 2^10 leaves; the bijection keeps each leaf's low 6
+    # bits and shuffles its high 4 bits, one shuffle per low pattern.  It
+    # reduces to 993 leaves and 96 classes, whose cover states multiply
+    rng = random.Random(5)
+    high = []
+    for _ in range(64):
+        order = list(range(16))
+        rng.shuffle(order)
+        high.append(order)
+    t = complete_tree(10)
+    g = VElement(t, t, Perm((high[i & 63][i >> 6] << 6 | i & 63) + 1 for i in range(1024)))
+    assert g.leaf_count == 993
+    message = (
+        "phi_alpha: the cover sum of a 993-leaf element writes more than"
+        f" the cap of {coefficients.COVER_ENTRY_CAP} polynomial entries"
+    )
+    start = time.perf_counter()
+    with pytest.raises(ContractError) as refusal:
+        phi_alpha(g)
+    assert time.perf_counter() - start < 10
+    assert str(refusal.value) == message
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractError):
+            phi_alpha(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_phi_alpha_kn_is_pure_power():
