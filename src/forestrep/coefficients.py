@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .errors import ContractError, _exact
+from .errors import ContractError, _exact, _integer
 from .ring import RingElem
 from .thompson import Perm, VElement, inverse, multiply
 from .trees import caret_positions, depths, enumerate_trees
@@ -431,7 +431,7 @@ def vanishing_scan(alpha, max_leaves: int) -> list[VanishRow]:
     the closed form, in the tests.
     """
     alpha = _exact_alpha("vanishing_scan", alpha)
-    if max_leaves < 0:
+    if _integer("vanishing_scan", "max_leaves", max_leaves) < 0:
         raise ContractError(f"vanishing_scan: max_leaves {max_leaves} is negative")
     triples = _rotation_triples(max_leaves)
     if triples > _SCAN_TRIPLE_CAP:

@@ -1,4 +1,5 @@
-"""Exceptions shared across the package, and its one exactness check."""
+"""Exceptions shared across the package, and its one exactness check and
+one integer check."""
 
 from fractions import Fraction
 
@@ -33,3 +34,10 @@ def _exact(where: str, name: str, value) -> Fraction:
     if type(value) is not int:
         raise ContractError(f"{where}: {name} is a {type(value).__name__}, not an int or a Fraction")
     return Fraction(value)
+
+
+def _integer(where: str, name: str, value) -> int:
+    """value if its type is int: a bool, a float or an int subclass is refused."""
+    if type(value) is not int:
+        raise ContractError(f"{where}: {name} is a {type(value).__name__}, not an int")
+    return value

@@ -5,8 +5,8 @@ window vector zeta.  So a tree sends its root input to one shift power per
 leaf cell (i, d): shift^left_run(i, d) of the input on the first leaf, where
 i == 0, and of zeta on every other leaf.  Inner products of such tensors are
 products of rational shifted inner products.  The overlap of a group element
-carries the leaf depths of the reference vector's tree through the
-element's bijection, as ``multiply`` carries the depths of its merge, and
+moves the leaves of the reference vector's tree under the element's range
+with ``thompson.carry``, as ``multiply`` moves the leaves of its merge, and
 builds no refined tree.
 """
 
@@ -16,9 +16,9 @@ from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ContractError
-from .thompson import VElement, named_tree
-from .trees import Depths, leaf_cells, leaves_below, left_run, merge_trees
+from .errors import ContractError, _integer
+from .thompson import VElement, carry, named_tree
+from .trees import Depths, leaf_cells, left_run, merge_trees
 
 # the exact bound (1 - 8^-m)^(4^m), two integers of about 3m*4^m bits, sets what
 # level m costs: printing it takes 0.4 s at m = 7 and 9 s at m = 8 (2-vCPU VM)
@@ -26,7 +26,7 @@ SHIFT_LEVEL_CAP = 7
 
 
 def _check_level(where: str, m: int) -> None:
-    if not 1 <= m <= SHIFT_LEVEL_CAP:
+    if not 1 <= _integer(where, "level", m) <= SHIFT_LEVEL_CAP:
         # past m = 32 the bit count itself grows long, so it stays a formula
         bits = f"{3 * m * 4**m:,}" if m <= 32 else f"3*{m}*4^{m}"
         cost = f"; its exact bound (1 - 8^-m)^(4^m) needs two {bits}-bit integers" if m > 0 else ""
@@ -93,9 +93,7 @@ class Indicator:
     __slots__ = ("h",)
 
     def __init__(self, h: int):
-        if type(h) is not int:
-            raise ContractError(f"Indicator: window length is a {type(h).__name__}, not an int")
-        if h < 1:
+        if _integer("Indicator", "window length", h) < 1:
             raise ContractError(f"Indicator: window length {h} is below 1")
         self.h = h
 
@@ -157,7 +155,7 @@ def kn_coefficient(n: int, xi: Sequence, zeta_vec) -> Fraction:
     leaf, with exact shifted inner products; equals C^(2^n), with
     C = c_constant(zeta_vec).
     """
-    if n < 0:
+    if _integer("kn_coefficient", "level", n) < 0:
         raise ContractError("kn_coefficient: level must be >= 0")
     components = [_as_unit(v) for v in xi]
     # a count of 2^n has n + 1 bits, so a wrong n is refused without building 2^n
@@ -191,16 +189,10 @@ def _overlap(g: VElement, m: int) -> tuple[Fraction, int, int]:
     """
     _check_level("almost_invariance", m)
     w = merge_trees(g.domain, Depths((m,) * 2**m))
-    ends = leaves_below(w, g.domain)
-    starts = [0, *ends]
-    # the refined range's leaf depths and the W leaf each one comes from
-    moved, source = [], []
-    for a, b in enumerate(g.perm._inv):
-        moved += map((g.range[a] - g.domain[b]).__add__, w[starts[b] : ends[b]])
-        source += range(starts[b], ends[b])
+    moved, source = carry(w, g)
     w_cells = w.cells()
     lags = Counter()
-    for (c, e), t in zip(Depths(moved).cells(), source):
+    for (c, e), t in zip(moved.cells(), source):
         i, d = w_cells[t]
         p = min(left_run(i, d), d - m)
         if e >= m:

@@ -7,11 +7,12 @@ leaf bijection): leaf k of the domain partition is sent affinely onto leaf
 equality of elements is equality of the depth tuples and the bijection.
 
 A product is written leaf by leaf from the depths of the merge of the two
-inner trees and never builds a tree.  Both the constructor and ``multiply``
-reduce on leaf cells, the (index, depth) of each leaf's dyadic interval,
-with one kernel, ``_reduce``.
-Trees are built only where an element is made from them (the constructor,
-the parsers and the named families); text is written from the leaf depths.
+inner trees and never builds a tree; ``carry`` moves a refinement's leaves
+under an element's range, for ``multiply`` and for the shift overlap.  The
+constructor and ``multiply`` reduce on leaf cells, the (index, depth) of
+each leaf's dyadic interval, with one kernel, ``_reduce``.  Trees are built
+only where an element is made from them (the constructor, the parsers and
+the named families); text is written from the leaf depths.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .errors import ContractError, ParseError, _echo, _exact
+from .errors import ContractError, ParseError, _echo, _exact, _integer
 from .trees import (
     LEAF,
     Depths,
@@ -31,7 +32,6 @@ from .trees import (
     caret,
     depths,
     format_tree,
-    leaf_cells,
     leaves_below,
     merge_trees,
     parse_tree,
@@ -154,12 +154,7 @@ class VElement:
             raise ContractError("VElement: domain and range must have equal leaf counts")
         if perm.size != domain.leaf_count:
             raise ContractError("VElement: bijection must act on the leaves")
-        domain_cells, range_cells = leaf_cells(domain), leaf_cells(range_)
-        self.domain, self.range, self.perm = _reduce(domain_cells, range_cells, perm.images) or (
-            Depths([d for _, d in domain_cells]),
-            Depths([d for _, d in range_cells]),
-            perm,
-        )
+        self.domain, self.range, self.perm = _reduce(depths(domain), depths(range_), perm.images)
 
     @classmethod
     def _from_reduced(cls, domain: Depths, range_: Depths, perm: Perm) -> "VElement":
@@ -202,17 +197,19 @@ class VElement:
         return f"VElement({format_element_literal(self)!r})"
 
 
-def _reduce(domain_cells, range_cells, images):
+def _reduce(domain: Depths, range_: Depths, images) -> tuple[Depths, Depths, Perm]:
     """Cancel matched carets until none remain, on leaf cells.
 
     The pairs (domain cell k, range cell images[k-1]) are pushed in domain
     order.  The top two merge into their parent cells while the domain cells
     and the range cells are both left and right siblings.  A cancellation
     only exposes the parent caret, so one pass finds them all.  Returns the
-    reduced (domain, range, perm), built once, or None when nothing cancels.
+    reduced (domain, range, perm); when nothing cancels, that is the given
+    triple, with the images taken as a bijection as they are.
     """
+    range_cells = range_.cells()
     stack: list[tuple[int, int, int, int, int]] = []
-    for (di, dd), j in zip(domain_cells, images):
+    for (di, dd), j in zip(domain.cells(), images):
         ri, rd = range_cells[j - 1]
         while stack:
             pi, pd, pri, prd, pj = stack[-1]
@@ -222,7 +219,7 @@ def _reduce(domain_cells, range_cells, images):
             di, dd, ri, rd, j = pi >> 1, dd - 1, pri >> 1, rd - 1, pj
         stack.append((di, dd, ri, rd, j))
     if len(stack) == len(images):
-        return None
+        return domain, range_, Perm._trusted(tuple(images))
     # a surviving range cell starts at its first original range leaf j, so
     # sorting by j puts the range cells in leaf order
     order = sorted(range(len(stack)), key=lambda k: stack[k][4])
@@ -236,43 +233,51 @@ def _reduce(domain_cells, range_cells, images):
     )
 
 
+def carry(w: Depths, g: VElement) -> tuple[Depths, list[int]]:
+    """Move the leaves of w, a refinement of g's domain, under g's range.
+
+    The leaves of w below g's domain leaf b are consecutive; they go, in
+    order, under the range leaf that b is sent to, each as many levels
+    deeper as that range leaf lies below b.  Returns the moved leaves'
+    depths in range order and, for each, its index in w.
+    """
+    domain, range_ = g.domain, g.range
+    ends = leaves_below(w, domain)
+    starts = [0, *ends]
+    moved, source = [], []
+    for a, b in enumerate(g.perm._inv):
+        start, end = starts[b], ends[b]
+        moved += map((range_[a] - domain[b]).__add__, w[start:end])
+        source += range(start, end)
+    return Depths(moved), source
+
+
 def multiply(g: VElement, h: VElement) -> VElement:
     """Group product; (g*h) acts as g after h on [0, 1).
 
     Both g's domain and h's range are prefixes of their merge W, so the
-    leaves of W below each of their leaves are consecutive.  Each product
-    range leaf is a leaf of W below some leaf b of g's domain, moved under
-    the g range leaf b is sent to; each product domain leaf is a leaf of W
-    below some leaf c of h's range, moved under the h domain leaf sent to c.
-    A leaf moved from depth e to depth e2 gains e2 - e levels, so the
-    product's leaf depths and images are written straight from the depths of
-    W, and its cells are reduced once.
+    leaves of W below each of their leaves are consecutive.  Carried under
+    g's range, W's leaves are the product's range leaves.  Each product
+    domain leaf is a leaf of W below some leaf c of h's range, moved under
+    the h domain leaf sent to c, and is sent to the range leaf its W leaf
+    became.  A leaf moved from depth e to depth e2 gains e2 - e levels, so
+    the product's leaf depths and images are written straight from the
+    depths of W, and its cells are reduced once.
     """
-    g_domain, g_range, h_domain, h_range = g.domain, g.range, h.domain, h.range
-    w = merge_trees(g_domain, h_range)
-    # the product range lists g's range leaves in order; first[b] numbers the
-    # first product range leaf below g's domain leaf b
-    ends = leaves_below(w, g_domain)
-    starts = [0, *ends]
-    range_depths = []
-    first = [0] * len(g_domain)
-    for a, b in enumerate(g.perm._inv):
-        first[b] = len(range_depths) + 1
-        range_depths += map((g_range[a] - g_domain[b]).__add__, w[starts[b] : ends[b]])
-    # the product range leaf of each W leaf, in W order
-    targets = []
-    for f, start, end in zip(first, starts, ends):
-        targets += range(f, f + end - start)
+    h_domain, h_range = h.domain, h.range
+    w = merge_trees(g.domain, h_range)
+    range_, source = carry(w, g)
+    # the 1-based product range leaf of each W leaf, in W order: a C-level
+    # sort inverts source, whose runs are already sorted
+    target = sorted(range(1, len(w) + 1), key=[0, *source].__getitem__)
     ends = leaves_below(w, h_range)
     starts = [0, *ends]
-    domain_depths, images = [], []
+    domain, images = [], []
     for k, c in enumerate(h.perm.images):
         start, end = starts[c - 1], ends[c - 1]
-        domain_depths += map((h_domain[k] - h_range[c - 1]).__add__, w[start:end])
-        images += targets[start:end]
-    domain, range_ = Depths(domain_depths), Depths(range_depths)
-    reduced = _reduce(domain.cells(), range_.cells(), images)
-    return VElement._from_reduced(*(reduced or (domain, range_, Perm._trusted(tuple(images)))))
+        domain += map((h_domain[k] - h_range[c - 1]).__add__, w[start:end])
+        images += target[start:end]
+    return VElement._from_reduced(*_reduce(Depths(domain), range_, images))
 
 
 def inverse(g: VElement) -> VElement:
@@ -381,7 +386,7 @@ def inflated_element(name: str, n: int) -> VElement:
     complete tree with 2^n leaves, so each copy's leaves sit n deeper."""
     if name not in _ELEMENT_PAIRS:
         raise ContractError(f"inflated_element: no such family {name!r}")
-    if n < 0 or n > LEVEL_CAP:
+    if not 0 <= _integer("inflated_element", "level", n) <= LEVEL_CAP:
         raise ContractError(f"inflated_element: level {n} outside 0..{LEVEL_CAP}")
     top, bottom = (
         tree_from_depths([d + n for d in depths(named_tree(t))] * 2**n)
@@ -397,7 +402,7 @@ def family_kn(n: int) -> VElement:
 def family_gn(n: int) -> VElement:
     """The exchange family on doubled left combs; lives in V for every n >= 2
     and keeps its leaf pattern under reduction."""
-    if n < 2:
+    if _integer("family_gn", "n", n) < 2:
         raise ContractError("family_gn: defined for n >= 2")
     if n > FAMILY_GN_CAP:
         raise ContractError(

@@ -1,8 +1,9 @@
 """Binary planar trees and forests.
 
 A tree is either the single leaf ``LEAF`` or a caret joining two subtrees.
-Group elements hold a tree as its leaf depths, left to right (``Depths``),
-from which the leaf cells and the merge of two trees are computed.
+Group elements hold a tree as its leaf depths, left to right (``Depths``,
+read off a tree by the one walk ``depths``), from which the leaf cells
+(``Depths.cells``) and the merge of two trees are computed.
 A forest is an ordered sequence of trees; its roots are counted left to
 right and its leaves are numbered globally 1..m across the trees.  Forests
 compose by vertical stacking: in ``compose(p, q)`` the i-th root of ``p`` is
@@ -14,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import ContractError, ParseError
+from .errors import ContractError, ParseError, _integer
 
 ENUM_LEAF_CAP = 12
 # the prefix table of either tree of g_100 (200 leaves): the reference
@@ -70,8 +71,8 @@ class Depths(tuple):
         return len(self)
 
     def cells(self) -> list[tuple[int, int]]:
-        """(index, depth) of each leaf's dyadic cell, as ``leaf_cells`` gives
-        them for the tree: each cell starts where the previous one ends."""
+        """(i, d) of each leaf's dyadic cell [i / 2^d, (i + 1) / 2^d), in leaf
+        order: the cells tile [0, 1), each starting where the last one ends."""
         out = []
         end = prev = 0  # where the last cell ends, as an index at depth prev
         for d in self:
@@ -82,8 +83,23 @@ class Depths(tuple):
 
 
 def depths(t: Tree) -> Depths:
-    """The leaf depths of t, left to right."""
-    return Depths([d for _, d in leaf_cells(t)])
+    """The leaf depths of t, left to right, without recursion."""
+    out: list[int] = []
+    stack = [(t, 0)]
+    while stack:
+        node, depth = stack.pop()
+        # walk down the left spine, leaving each right child for later
+        while node is not LEAF:
+            depth += 1
+            stack.append((node.right, depth))
+            node = node.left
+        out.append(depth)
+    return Depths(out)
+
+
+def leaf_cells(t: Tree) -> list[tuple[int, int]]:
+    """(index, depth) of each leaf's dyadic cell of t, in leaf order."""
+    return depths(t).cells()
 
 
 class Forest:
@@ -134,7 +150,7 @@ def graft(t: Tree, f: Forest) -> Tree:
 
 def complete_tree(n: int) -> Tree:
     """The balanced tree with 2^n leaves, all at depth n."""
-    if n < 0:
+    if _integer("complete_tree", "level", n) < 0:
         raise ContractError("complete_tree: level must be >= 0")
     t = LEAF
     for _ in range(n):
@@ -158,9 +174,9 @@ def collapse_caret(t: Tree, i: int) -> Tree:
         raise ContractError(f"collapse_caret: leaf {i} out of range")
     if i not in caret_positions(t):
         raise ContractError(f"collapse_caret: leaves {i},{i + 1} are not siblings")
-    depths = [d for _, d in leaf_cells(t)]
-    depths[i - 1 : i + 1] = [depths[i] - 1]
-    return tree_from_depths(depths)
+    leaves = list(depths(t))
+    leaves[i - 1 : i + 1] = [leaves[i] - 1]
+    return tree_from_depths(leaves)
 
 
 def split_sequence(t: Tree) -> tuple[int, ...]:
@@ -190,22 +206,6 @@ def tree_from_splits(indices) -> Tree:
     return tree_from_depths(depths)
 
 
-def leaf_cells(t: Tree) -> list[tuple[int, int]]:
-    """(index, depth) of each leaf's standard dyadic cell, in leaf order; cell
-    (i, d) is [i / 2^d, (i + 1) / 2^d) and the cells tile [0, 1)."""
-    out: list[tuple[int, int]] = []
-    stack = [(t, 0, 0)]
-    while stack:
-        node, index, depth = stack.pop()
-        # walk down the left spine, leaving each right child for later
-        while node is not LEAF:
-            index, depth = 2 * index, depth + 1
-            stack.append((node.right, index + 1, depth))
-            node = node.left
-        out.append((index, depth))
-    return out
-
-
 def left_run(index: int, depth: int) -> int:
     """Number of left turns that end the path to leaf cell (index, depth):
     the trailing zero bits of index, or the whole depth when index is 0."""
@@ -221,7 +221,7 @@ def fold_tree(t: Tree, leaves, join):
     """Fold t bottom-up without recursion: leaf k, left to right, holds
     leaves[k] and each caret holds join(left value, right value).  With
     join=caret this hangs the given trees under the leaves of t."""
-    return _assemble(zip(leaves, [d for _, d in leaf_cells(t)]), join)
+    return _assemble(zip(leaves, depths(t)), join)
 
 
 def _assemble(items, join):
@@ -328,7 +328,7 @@ def _parse_product(text: str) -> Tree:
 
 def format_tree(t: Tree | Depths, style: str = "product") -> str:
     """The text of a tree, given as a Tree or as its leaf depths."""
-    cells = t.cells() if isinstance(t, Depths) else leaf_cells(t)
+    cells = (t if isinstance(t, Depths) else depths(t)).cells()
     if style == "product":
         seq = _splits(cells)
         if not seq:
@@ -481,7 +481,7 @@ def enumerate_trees(n: int) -> tuple[Tree, ...]:
 def _trees_by_size(caller: str, n: int) -> list[tuple[Tree, ...]]:
     """The trees with k leaves for k = 0..n, none for k = 0; caret(left, right)
     ordered by the left leaf count, then the left tree, then the right."""
-    if n < 1:
+    if _integer(caller, "leaf count", n) < 1:
         raise ContractError(f"{caller}: leaf count must be >= 1")
     if n > ENUM_LEAF_CAP:
         raise ContractError(f"{caller}: leaf count {n} exceeds bound {ENUM_LEAF_CAP}")

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from forestrep.coefficients import vanishing_scan
 from forestrep.errors import ContractError
 from forestrep.oracles import element_trees, path_words, random_elements, refine
 from forestrep.shiftrep import (
@@ -25,6 +26,8 @@ from forestrep.thompson import (
     VElement,
     builtin,
     family_gn,
+    family_kn,
+    inflated_element,
     named_tree,
 )
 from forestrep.trees import (
@@ -33,6 +36,7 @@ from forestrep.trees import (
     caret,
     complete_tree,
     depths,
+    enumerate_trees,
     leaf_cells,
     left_run,
     merge_trees,
@@ -149,6 +153,28 @@ def test_indicator_takes_only_an_int_length():
         with pytest.raises(ContractError, match="window length is a .*, not an int$"):
             Indicator(h)
     assert Indicator(16) == zeta(1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: zeta(True), "zeta: level is a bool"),
+        (lambda: invariance_bound(True), "invariance_bound: level is a bool"),
+        (lambda: almost_invariance(x0(), 2.0), "almost_invariance: level is a float"),
+        (lambda: kn_coefficient(True, [zeta(1)] * 2, zeta(1)), "kn_coefficient: level is a bool"),
+        (lambda: family_kn(True), "inflated_element: level is a bool"),
+        (lambda: inflated_element("g", 1.0), "inflated_element: level is a float"),
+        (lambda: family_gn(3.0), "family_gn: n is a float"),
+        (lambda: vanishing_scan(Fraction(1, 2), True), "vanishing_scan: max_leaves is a bool"),
+        (lambda: enumerate_trees(2.0), "enumerate_trees: leaf count is a float"),
+        (lambda: complete_tree(2.0), "complete_tree: level is a float"),
+    ],
+)
+def test_levels_and_counts_take_only_ints(call, message):
+    # a bool would pass as 0 or 1 and a float would fail deep inside
+    with pytest.raises(ContractError) as info:
+        call()
+    assert str(info.value) == f"{message}, not an int"
 
 
 def test_zero_vector_and_empty_window_refused():

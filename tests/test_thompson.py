@@ -8,12 +8,13 @@ import pytest
 from forestrep import trees
 from forestrep.coefficients import gram_psd_check, phi_alpha
 from forestrep.errors import ContractError, ParseError
-from forestrep.oracles import element_trees, inflate, pl_maps_equal, pl_value, refine
+from forestrep.oracles import element_trees, inflate, pl_maps_equal, pl_value, random_elements, refine
 from forestrep.thompson import (
     FAMILY_GN_CAP,
     Perm,
     VElement,
     builtin,
+    carry,
     classify,
     element_from_json,
     element_to_json,
@@ -304,13 +305,30 @@ def test_multiply_matches_refinement_on_large_elements():
         assert multiply(c, c) == _multiply_by_refinement(c, c) == ident
 
 
+def test_carry_matches_tree_refinement():
+    # carried under g's range, the leaves of a refined domain are the leaves
+    # of the range refined by the tree route, each from the domain leaf that
+    # the widened bijection sends there
+    rng = random.Random(11)
+    pool = [t for n in (1, 2, 3) for t in enumerate_trees(n)]
+    for g in random_elements(300, 10, seed=11):
+        domain, range_ = element_trees(g)
+        f = Forest(rng.choice(pool) for _ in range(g.leaf_count))
+        w = depths(graft(domain, f))
+        moved, source = carry(w, g)
+        refined, widened = refine(range_, g.perm, f)
+        assert moved == depths(refined)
+        assert source == [widened.inv(j) - 1 for j in range(1, len(w) + 1)]
+
+
 def test_inverse_is_already_reduced():
-    # inverse takes the swapped triple as it is; reducing it again changes nothing
+    # inverse takes the swapped triple as it is; reducing it again returns
+    # that triple unchanged
     rng = random.Random(29)
     for _ in range(200):
         g = random_product(rng, rng.randint(1, 8))
         perm = g.perm.inverse()
-        assert _reduce(g.range.cells(), g.domain.cells(), perm.images) is None
+        assert _reduce(g.range, g.domain, perm.images) == (g.range, g.domain, perm)
         assert ~g == VElement(*element_trees(g)[::-1], perm)
 
 
