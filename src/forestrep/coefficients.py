@@ -394,7 +394,7 @@ def reduced_rotation_elements(max_leaves: int):
     a domain caret onto a range caret's leaves (k + c, k + c + 1), so only the
     offsets with no such k are built.
     """
-    for n in range(1, max_leaves + 1):
+    for n in range(1, _integer("reduced_rotation_elements", "max_leaves", max_leaves) + 1):
         trees = enumerate_trees(n)
         leaves = [depths(t) for t in trees]
         carets = [caret_positions(t) for t in trees]

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .coefficients import phi_alpha
-from .errors import ContractError
+from .errors import ContractError, _integer
 from .ring import ONE, RingElem
 from .thompson import (
     Perm,
@@ -48,7 +48,6 @@ from .trees import (
     enumerate_trees,
     fold_tree,
     graft,
-    leaf_cells,
     split_sequence,
     subrooted_trees,
     tree_from_depths,
@@ -84,7 +83,7 @@ def path_words(f: Forest | Tree) -> tuple[str, ...]:
     return tuple(
         "".join("ab"[index >> k & 1] for k in range(depth))
         for t in trees
-        for index, depth in leaf_cells(t)
+        for index, depth in depths(t).cells()
     )
 
 
@@ -130,7 +129,7 @@ def pl_maps_equal(a, b) -> bool:
     Between consecutive cell starts of either domain both maps are affine, so
     they agree there exactly when they agree at the left end and the midpoint.
     """
-    starts = {Fraction(i, 1 << d) for t in (a[0], b[0]) for i, d in leaf_cells(t)}
+    starts = {Fraction(i, 1 << d) for t in (a[0], b[0]) for i, d in depths(t).cells()}
     cuts = sorted(starts | {Fraction(1)})
     for lo, hi in zip(cuts, cuts[1:]):
         for x in (lo, (lo + hi) / 2):
@@ -152,7 +151,7 @@ def _check_bound(check: str, max_leaves: int, noun: str, count) -> None:
     anything.  Past the cap the message states the count(n) trees or forests
     with n leaves summed up to one leaf past the cap, which any larger bound
     would enumerate too."""
-    if max_leaves < 1:
+    if _integer(check, "max_leaves", max_leaves) < 1:
         raise ContractError(f"{check}: max_leaves {max_leaves} is below 1")
     if max_leaves > ENUM_LEAF_CAP:
         total = sum(count(n) for n in range(1, ENUM_LEAF_CAP + 2))
@@ -349,7 +348,7 @@ def check_reduction_soundness(samples: int = 500, seed: int = 42) -> dict:
     """Canonical forms act like the representatives they come from, rebuilding
     from an inflated representative lands on the same canonical triple, and no
     single further cancellation yields a smaller pair with the same action."""
-    if samples < 1:
+    if _integer("reduction-soundness", "samples", samples) < 1:
         raise ContractError(f"reduction-soundness: samples {samples} is below 1")
     if samples > REDUCTION_SAMPLE_CAP:
         raise ContractError(
@@ -589,6 +588,7 @@ def check_vacuum_pairing(max_leaves: int = 5) -> dict:
     Each expansion applies the elementary operators of the interpolation
     tensor, windowed to every word shorter than max_leaves, to the vacuum.
     """
+    _integer("vacuum-pairing", "max_leaves", max_leaves)
     words = ["".join(w) for n in range(max_leaves) for w in itertools.product("ab", repeat=n)]
     R = word_window_tensor(words)
     expansions = {

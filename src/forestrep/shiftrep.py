@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import ContractError, _integer
 from .thompson import VElement, carry, named_tree
-from .trees import Depths, leaf_cells, left_run, merge_trees
+from .trees import Depths, left_run, merge_trees
 
 # the exact bound (1 - 8^-m)^(4^m), two integers of about 3m*4^m bits, sets what
 # level m costs: printing it takes 0.4 s at m = 7 and 9 s at m = 8 (2-vCPU VM)
@@ -165,7 +165,7 @@ def kn_coefficient(n: int, xi: Sequence, zeta_vec) -> Fraction:
     # q and a both hang the slot input under their first leaf, at the same
     # shift power, so each slot's unit vector pairs with itself to <u, u> = 1;
     # every other leaf pair carries zeta_vec, alike in every slot
-    _, *shared = zip(leaf_cells(named_tree("q")), leaf_cells(named_tree("a")))
+    _, *shared = zip(named_tree("q").cells(), named_tree("a").cells())
     lags = Counter(left_run(*cell_a) - left_run(*cell_q) for cell_q, cell_a in shared)
     return _pairing(zeta_vec, lags) ** len(components)
 

@@ -10,9 +10,10 @@ A product is written leaf by leaf from the depths of the merge of the two
 inner trees and never builds a tree; ``carry`` moves a refinement's leaves
 under an element's range, for ``multiply`` and for the shift overlap.  The
 constructor and ``multiply`` reduce on leaf cells, the (index, depth) of
-each leaf's dyadic interval, with one kernel, ``_reduce``.  Trees are built
-only where an element is made from them (the constructor, the parsers and
-the named families); text is written from the leaf depths.
+each leaf's dyadic interval, with one kernel, ``_reduce``.  The parsers
+and the named families write leaf depths directly; a tree is read into
+depths only by the public constructor, ``VElement(domain, range_, perm)``.
+Text is written from the leaf depths.
 """
 
 from __future__ import annotations
@@ -25,18 +26,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import ContractError, ParseError, _echo, _exact, _integer
-from .trees import (
-    LEAF,
-    Depths,
-    Tree,
-    caret,
-    depths,
-    format_tree,
-    leaves_below,
-    merge_trees,
-    parse_tree,
-    tree_from_depths,
-)
+from .trees import Depths, depths, format_tree, leaves_below, merge_trees, parse_depths
 
 F = "F"
 T_ONLY = "T_only"
@@ -140,21 +130,28 @@ def _inverse_index(images: tuple) -> tuple:
 
 class VElement:
     """Canonical reduced tree-pair-with-bijection form of an element of V,
-    held as the leaf depths of both trees and the bijection; built from
-    trees."""
+    held as the leaf depths of both trees and the bijection; built from two
+    ``trees.Tree`` and a bijection (the identity when None)."""
 
     __slots__ = ("domain", "range", "perm")
 
-    def __init__(self, domain: Tree, range_: Tree, perm=None):
+    def __init__(self, domain, range_, perm=None):
+        g = self._from_depths(depths(domain), depths(range_), perm)
+        self.domain, self.range, self.perm = g.domain, g.range, g.perm
+
+    @classmethod
+    def _from_depths(cls, domain: Depths, range_: Depths, perm=None) -> "VElement":
+        """The element of two trees' leaf depths and a bijection, checked
+        and reduced."""
         if perm is None:
-            perm = Perm.identity(domain.leaf_count)
+            perm = Perm.identity(len(domain))
         elif not isinstance(perm, Perm):
             perm = Perm(perm)
-        if domain.leaf_count != range_.leaf_count:
+        if len(domain) != len(range_):
             raise ContractError("VElement: domain and range must have equal leaf counts")
-        if perm.size != domain.leaf_count:
+        if perm.size != len(domain):
             raise ContractError("VElement: bijection must act on the leaves")
-        self.domain, self.range, self.perm = _reduce(depths(domain), depths(range_), perm.images)
+        return cls._from_reduced(*_reduce(domain, range_, perm))
 
     @classmethod
     def _from_reduced(cls, domain: Depths, range_: Depths, perm: Perm) -> "VElement":
@@ -166,7 +163,7 @@ class VElement:
 
     @classmethod
     def identity(cls) -> "VElement":
-        return cls(LEAF, LEAF)
+        return cls._from_depths(Depths((0,)), Depths((0,)))
 
     @property
     def leaf_count(self) -> int:
@@ -197,7 +194,7 @@ class VElement:
         return f"VElement({format_element_literal(self)!r})"
 
 
-def _reduce(domain: Depths, range_: Depths, images) -> tuple[Depths, Depths, Perm]:
+def _reduce(domain: Depths, range_: Depths, perm) -> tuple[Depths, Depths, Perm]:
     """Cancel matched carets until none remain, on leaf cells.
 
     The pairs (domain cell k, range cell images[k-1]) are pushed in domain
@@ -205,8 +202,10 @@ def _reduce(domain: Depths, range_: Depths, images) -> tuple[Depths, Depths, Per
     and the range cells are both left and right siblings.  A cancellation
     only exposes the parent caret, so one pass finds them all.  Returns the
     reduced (domain, range, perm); when nothing cancels, that is the given
-    triple, with the images taken as a bijection as they are.
+    triple.  perm is a Perm or an image sequence, then taken as a bijection
+    as it is.
     """
+    images = perm.images if isinstance(perm, Perm) else perm
     range_cells = range_.cells()
     stack: list[tuple[int, int, int, int, int]] = []
     for (di, dd), j in zip(domain.cells(), images):
@@ -219,7 +218,7 @@ def _reduce(domain: Depths, range_: Depths, images) -> tuple[Depths, Depths, Per
             di, dd, ri, rd, j = pi >> 1, dd - 1, pri >> 1, rd - 1, pj
         stack.append((di, dd, ri, rd, j))
     if len(stack) == len(images):
-        return domain, range_, Perm._trusted(tuple(images))
+        return domain, range_, perm if isinstance(perm, Perm) else Perm._trusted(tuple(images))
     # a surviving range cell starts at its first original range leaf j, so
     # sorting by j puts the range cells in leaf order
     order = sorted(range(len(stack)), key=lambda k: stack[k][4])
@@ -362,22 +361,22 @@ _TREE_PRODUCTS = {
 
 
 @lru_cache(maxsize=None)
-def named_tree(name: str) -> Tree:
+def named_tree(name: str) -> Depths:
     if name not in _TREE_PRODUCTS:
         raise ContractError(f"unknown tree name {name!r}; expected one of a,b,c,d,q")
-    return parse_tree(_TREE_PRODUCTS[name])
+    return parse_depths(_TREE_PRODUCTS[name])
 
 
 _ELEMENT_PAIRS = {"g": ("a", "b"), "h": ("c", "d"), "k": ("a", "q")}
 
 
 def builtin(name: str):
-    """Named objects: trees a,b,c,d,q and elements g = a/b, h = c/d, k = a/q."""
+    """Named objects: trees a,b,c,d,q as leaf depths, elements g = a/b, h = c/d, k = a/q."""
     if name in _TREE_PRODUCTS:
         return named_tree(name)
     if name in _ELEMENT_PAIRS:
         top, bottom = _ELEMENT_PAIRS[name]
-        return VElement(named_tree(bottom), named_tree(top))
+        return VElement._from_depths(named_tree(bottom), named_tree(top))
     raise ContractError(f"unknown builtin {name!r}")
 
 
@@ -388,11 +387,8 @@ def inflated_element(name: str, n: int) -> VElement:
         raise ContractError(f"inflated_element: no such family {name!r}")
     if not 0 <= _integer("inflated_element", "level", n) <= LEVEL_CAP:
         raise ContractError(f"inflated_element: level {n} outside 0..{LEVEL_CAP}")
-    top, bottom = (
-        tree_from_depths([d + n for d in depths(named_tree(t))] * 2**n)
-        for t in _ELEMENT_PAIRS[name]
-    )
-    return VElement(bottom, top)
+    top, bottom = (Depths([d + n for d in named_tree(t)] * 2**n) for t in _ELEMENT_PAIRS[name])
+    return VElement._from_depths(bottom, top)
 
 
 def family_kn(n: int) -> VElement:
@@ -409,26 +405,25 @@ def family_gn(n: int) -> VElement:
             f"family_gn: g_{n} has {2 * n} leaves, over the cap of g_{FAMILY_GN_CAP}"
             f" ({2 * FAMILY_GN_CAP} leaves)"
         )
-    comb = caret(LEAF, LEAF)
-    for _ in range(n - 2):
-        comb = caret(comb, LEAF)
-    # comb is the left comb with n leaves; s doubles it under one root caret
-    s = caret(comb, comb)
+    # two left combs with n leaves under one root caret: each comb's leaves
+    # sit at depths n, n, n - 1, ..., 2
+    s = Depths((n, *range(n, 1, -1)) * 2)
     images = list(range(1, 2 * n + 1))
     for odd in range(1, n + 1, 2):
         images[odd - 1] = odd + n
         images[odd + n - 1] = odd
-    return VElement(s, s, Perm(images))
+    return VElement._from_depths(s, s, Perm(images))
 
 
 def standard_generators() -> tuple[VElement, ...]:
     """A small generating set meeting all three classes: two order-preserving
     elements, the half rotation, and a leaf exchange."""
-    x0 = VElement(named_tree("d"), named_tree("c"))
-    x1 = VElement(caret(LEAF, named_tree("d")), caret(LEAF, named_tree("c")))
-    rot = VElement(caret(LEAF, LEAF), caret(LEAF, LEAF), Perm((2, 1)))
-    t = parse_tree("f3 f1 f1")
-    swap = VElement(t, t, Perm((3, 2, 1, 4)))
+    x0 = VElement._from_depths(named_tree("d"), named_tree("c"))
+    # x1 hangs x0's trees under the right leaf of one caret
+    x1 = VElement._from_depths(Depths((1, 2, 3, 3)), Depths((1, 3, 3, 2)))
+    rot = VElement._from_depths(Depths((1, 1)), Depths((1, 1)), Perm((2, 1)))
+    t = Depths((2, 2, 2, 2))
+    swap = VElement._from_depths(t, t, Perm((3, 2, 1, 4)))
     return x0, x1, rot, swap
 
 
@@ -446,13 +441,13 @@ def format_element_literal(g: VElement) -> str:
     return lit
 
 
-def _parse_tree_text(text: str) -> Tree:
+def _parse_tree_text(text: str) -> Depths:
     if not isinstance(text, str):
         raise ParseError(f"tree must be given as text, not {text!r}")
     text = text.strip()
     if text in _TREE_PRODUCTS:
         return named_tree(text)
-    return parse_tree(text)
+    return parse_depths(text)
 
 
 def parse_element_literal(text: str) -> VElement:
@@ -482,7 +477,7 @@ def parse_element_literal(text: str) -> VElement:
     if text.count("/") != 1:
         raise ParseError("element literal must be RANGE/DOMAIN with a single '/'")
     range_text, domain_text = text.split("/")
-    return VElement(_parse_tree_text(domain_text), _parse_tree_text(range_text), perm)
+    return VElement._from_depths(_parse_tree_text(domain_text), _parse_tree_text(range_text), perm)
 
 
 def element_to_json(g: VElement) -> dict:
@@ -504,4 +499,4 @@ def element_from_json(data: dict) -> VElement:
     perm = data.get("perm")
     if perm is not None and not isinstance(perm, list):
         raise ParseError(f"bijection must be a JSON list, not {perm!r}")
-    return VElement(domain, range_, Perm(perm) if perm is not None else None)
+    return VElement._from_depths(domain, range_, perm)

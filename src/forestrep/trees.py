@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import ContractError, ParseError, _integer
+from .errors import ContractError, ParseError, _echo, _integer
 
 ENUM_LEAF_CAP = 12
 # the prefix table of either tree of g_100 (200 leaves): the reference
@@ -97,11 +97,6 @@ def depths(t: Tree) -> Depths:
     return Depths(out)
 
 
-def leaf_cells(t: Tree) -> list[tuple[int, int]]:
-    """(index, depth) of each leaf's dyadic cell of t, in leaf order."""
-    return depths(t).cells()
-
-
 class Forest:
     """Ordered sequence of trees; a morphism from its roots to its leaves."""
 
@@ -161,7 +156,7 @@ def complete_tree(n: int) -> Tree:
 def caret_positions(t: Tree) -> tuple[int, ...]:
     """Leaf indices i such that leaves i and i+1 are the children of one caret:
     their cells have one depth and the first has an even index."""
-    cells = leaf_cells(t)
+    cells = depths(t).cells()
     return tuple(
         k for k, ((index, depth), (_, other)) in enumerate(zip(cells, cells[1:]), 1)
         if depth == other and index % 2 == 0
@@ -185,7 +180,7 @@ def split_sequence(t: Tree) -> tuple[int, ...]:
     In preorder the carets come sorted by their leftmost leaf, and leaf k is
     the leftmost leaf of the carets on its final run of left turns.
     """
-    return _splits(leaf_cells(t))
+    return _splits(depths(t).cells())
 
 
 def _splits(cells) -> tuple[int, ...]:
@@ -193,17 +188,6 @@ def _splits(cells) -> tuple[int, ...]:
     for k, (index, depth) in enumerate(cells, 1):
         out.extend([k] * left_run(index, depth))
     return tuple(out)
-
-
-def tree_from_splits(indices) -> Tree:
-    """Rebuild a tree by splitting leaves in the given order."""
-    depths = [0]
-    for i in indices:
-        if not 1 <= i <= len(depths):
-            raise ContractError(f"tree_from_splits: leaf {i} out of range 1..{len(depths)}")
-        d = depths[i - 1] + 1
-        depths[i - 1 : i] = [d, d]
-    return tree_from_depths(depths)
 
 
 def left_run(index: int, depth: int) -> int:
@@ -268,62 +252,78 @@ def _co_walk(u: Tree, v: Tree) -> list[tuple[Tree, Tree, int]]:
 #                 current I-th leaf, starting from a single leaf.
 
 def parse_tree(text: str) -> Tree:
+    return tree_from_depths(parse_depths(text))
+
+
+def parse_depths(text: str) -> Depths:
+    """The leaf depths of a tree text in either form; a bracketed product
+    such as "(f3 f1 f1)" is told from the parens form by its first token."""
     text = text.strip()
     if not text:
         raise ParseError("empty tree text")
     if text == ".":
-        return LEAF
-    if text.startswith("("):
-        try:
-            return _parse_parens(text)
-        except ParseError:
-            inner = text[1:-1].strip() if text.endswith(")") else None
-            if inner:
-                return _parse_product(inner)
+        return Depths((0,))
+    if not text.startswith("("):
+        return _product_depths(text)
+    inner = text[1:-1].strip() if text.endswith(")") else ""
+    if inner and inner[0] not in "(.":
+        return _product_depths(inner)
+    try:
+        return _parens_depths(text)
+    except ParseError:
+        if not inner:
             raise
-    return _parse_product(text)
+    # refused as a product: its first token is no split
+    return _product_depths(inner)
 
 
-def _parse_parens(text: str) -> Tree:
+def _parens_depths(text: str) -> Depths:
+    # a leaf's depth is the number of '(' still open around it
     tokens = iter([(i, ch) for i, ch in enumerate(text) if not ch.isspace()] + [(len(text), "")])
-    pending: list[Tree | None] = []  # per unclosed '(' its left child, once parsed
+    out: list[int] = []
+    pending: list[bool] = []  # per unclosed '(', whether its left child is parsed
     while True:
         pos, ch = next(tokens)
         if ch == "(":
-            pending.append(None)
+            pending.append(False)
             continue
         if not ch:
             raise ParseError(f"unexpected end of tree text at position {pos}")
         if ch != ".":
             raise ParseError(f"unexpected character {ch!r} at position {pos}")
-        node = LEAF
-        while pending and pending[-1] is not None:
+        out.append(len(pending))
+        while pending and pending[-1]:
             pos, ch = next(tokens)
             if ch != ")":
                 raise ParseError(f"expected ')' at position {pos}")
-            node = caret(pending.pop(), node)
+            pending.pop()
         if not pending:
             break
-        pending[-1] = node
+        pending[-1] = True
     pos, ch = next(tokens)
     if ch:
         raise ParseError(f"trailing text at position {pos}")
-    return node
+    return Depths(out)
 
 
-def _parse_product(text: str) -> Tree:
-    tokens = text.split()
-    indices = []
-    for tok in tokens:
-        if not tok.startswith("f") or not tok[1:].isdigit():
-            raise ParseError(f"bad product token {tok!r}")
-        indices.append(int(tok[1:]))
-    count = 1
+def _product_depths(text: str) -> Depths:
+    indices = [_split_index(tok) for tok in text.split()]
+    out = [0]
     for i in reversed(indices):
-        if not 1 <= i <= count:
-            raise ParseError(f"split index {i} exceeds current leaf count {count}")
-        count += 1
-    return tree_from_splits(reversed(indices))
+        if not 1 <= i <= len(out):
+            raise ParseError(f"split index {i} exceeds current leaf count {len(out)}")
+        d = out[i - 1] + 1
+        out[i - 1 : i] = [d, d]
+    return Depths(out)
+
+
+def _split_index(tok: str) -> int:
+    try:
+        if tok[0] == "f" and tok[1:].isdecimal():
+            return int(tok[1:])
+    except ValueError:  # int() takes at most 4,300 digits
+        pass
+    raise ParseError(f"bad product token {_echo(tok)}")
 
 
 def format_tree(t: Tree | Depths, style: str = "product") -> str:

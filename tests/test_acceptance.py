@@ -101,8 +101,8 @@ def test_criterion_5_commutator_and_level_coefficients():
     g, h, k = builtin("g"), builtin("h"), builtin("k")
     commutator_ok = (
         g * h * ~g * ~h == k
-        and k.range == depths(named_tree("a"))
-        and k.domain == depths(named_tree("q"))
+        and k.range == named_tree("a")
+        and k.domain == named_tree("q")
         and k == family_kn(0)
     )
     z = zeta(1)
@@ -115,7 +115,7 @@ def test_criterion_5_commutator_and_level_coefficients():
 
 
 def test_criterion_6_almost_invariance():
-    x0 = VElement(named_tree("d"), named_tree("c"))
+    x0 = VElement(parse_tree("f2 f1"), parse_tree("f1 f1"))
     rot = VElement(caret(LEAF, LEAF), caret(LEAF, LEAF), Perm((2, 1)))
     values = {}
     ok = True

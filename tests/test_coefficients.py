@@ -56,7 +56,6 @@ from forestrep.trees import (
     enumerate_trees,
     parse_tree,
     subrooted_trees,
-    tree_from_splits,
 )
 
 
@@ -241,7 +240,7 @@ def test_phi_alpha_identity():
 
 
 def test_phi_alpha_generator_is_fourth_power():
-    g = VElement(named_tree("d"), named_tree("c"))
+    g = VElement(parse_tree("f2 f1"), parse_tree("f1 f1"))
     assert phi_alpha(g) == RingElem.term(4, 0)
 
 
@@ -340,7 +339,10 @@ def test_class_sum_gives_the_closed_form_on_rotation_pairs(monkeypatch):
     rng = random.Random(31)
     for _ in range(300):
         n = rng.randint(2, 299)
-        shapes = [tree_from_splits(rng.randint(1, k) for k in range(1, n)) for _ in range(2)]
+        shapes = [
+            parse_tree(" ".join(reversed([f"f{rng.randint(1, k)}" for k in range(1, n)])) or ".")
+            for _ in range(2)
+        ]
         elements.append(VElement(*shapes, Perm.rotation(n, rng.randrange(n))))
     assert max(g.leaf_count for g in elements) > 200
     for g in elements:
@@ -538,7 +540,7 @@ def test_farley_norm_and_match():
     assert farley_norm(VElement.identity()) == 0
     value = farley_phi(VElement.identity(), Fraction(1, 2))
     assert value.exponent == 0 and value.as_float() == 1.0
-    g = VElement(named_tree("d"), named_tree("c"))
+    g = VElement(parse_tree("f2 f1"), parse_tree("f1 f1"))
     assert farley_norm(g) == 4
     assert phi_alpha(g) == RingElem.term(farley_norm(g), 0)
     swap = remark_element()

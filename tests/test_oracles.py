@@ -228,3 +228,30 @@ def test_production_modules_do_not_import_oracles():
     assert importers == {"cli"}
     assert "forestrep.oracles" in _imported_modules("from . import oracles")
     assert "forestrep.oracles" in _imported_modules("import forestrep.oracles as o")
+
+
+_TREE_BUILDERS = {"LEAF", "Tree", "caret", "tree_from_depths", "parse_tree", "leaf_cells"}
+
+
+def _tree_builders_used(source: str) -> set[str]:
+    """The tree builders a module's source binds by import or reads as an
+    attribute, as in trees.caret."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names & _TREE_BUILDERS
+
+
+def test_production_modules_build_no_tree():
+    # elements hold leaf depths, and only the public VElement constructor
+    # reads a tree into them, by the walk trees.depths
+    root = Path(forestrep.__file__).parent
+    for name in ("thompson.py", "coefficients.py", "shiftrep.py", "cli.py"):
+        assert _tree_builders_used((root / name).read_text()) == set(), name
+    assert _tree_builders_used("from .trees import LEAF, depths") == {"LEAF"}
+    assert _tree_builders_used("from . import trees\ntrees.caret(a, b)") == {"caret"}
+    assert _tree_builders_used("from .trees import parse_tree as p") == {"parse_tree"}

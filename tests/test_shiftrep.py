@@ -5,9 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from forestrep.coefficients import vanishing_scan
+from forestrep.coefficients import reduced_rotation_elements, vanishing_scan
 from forestrep.errors import ContractError
-from forestrep.oracles import element_trees, path_words, random_elements, refine
+from forestrep.oracles import (
+    check_cyclic_forest_lemma,
+    check_reduction_soundness,
+    check_term_parity,
+    check_vacuum_pairing,
+    check_word_injectivity,
+    element_trees,
+    path_words,
+    random_elements,
+    refine,
+)
 from forestrep.shiftrep import (
     SHIFT_LEVEL_CAP,
     Indicator,
@@ -37,18 +47,16 @@ from forestrep.trees import (
     complete_tree,
     depths,
     enumerate_trees,
-    leaf_cells,
     left_run,
     merge_trees,
     parse_tree,
     residual_forest,
     tree_from_depths,
-    tree_from_splits,
 )
 
 
 def x0() -> VElement:
-    return VElement(named_tree("d"), named_tree("c"))
+    return VElement(parse_tree("f2 f1"), parse_tree("f1 f1"))
 
 
 def rotation2() -> VElement:
@@ -168,6 +176,13 @@ def test_indicator_takes_only_an_int_length():
         (lambda: vanishing_scan(Fraction(1, 2), True), "vanishing_scan: max_leaves is a bool"),
         (lambda: enumerate_trees(2.0), "enumerate_trees: leaf count is a float"),
         (lambda: complete_tree(2.0), "complete_tree: level is a float"),
+        (lambda: next(reduced_rotation_elements(True)), "reduced_rotation_elements: max_leaves is a bool"),
+        (lambda: next(reduced_rotation_elements(2.0)), "reduced_rotation_elements: max_leaves is a float"),
+        (lambda: check_word_injectivity(True), "word-injectivity: max_leaves is a bool"),
+        (lambda: check_cyclic_forest_lemma(2.0), "cyclic-forest: max_leaves is a float"),
+        (lambda: check_term_parity(True), "term-parity: max_leaves is a bool"),
+        (lambda: check_vacuum_pairing(2.0), "vacuum-pairing: max_leaves is a float"),
+        (lambda: check_reduction_soundness(True), "reduction-soundness: samples is a bool"),
     ],
 )
 def test_levels_and_counts_take_only_ints(call, message):
@@ -284,7 +299,7 @@ def test_kn_coefficient_pairs_equal_slots_once(monkeypatch):
 def test_kn_coefficient_slots_pair_to_one():
     # q and a hang the slot input under their first leaf, at one shift power:
     # that leaf pair has lag 0, so every unit slot vector pairs with itself to 1
-    cell_q, cell_a = leaf_cells(named_tree("q"))[0], leaf_cells(named_tree("a"))[0]
+    cell_q, cell_a = named_tree("q").cells()[0], named_tree("a").cells()[0]
     assert cell_q[0] == cell_a[0] == 0 and left_run(*cell_q) == left_run(*cell_a)
     rng = random.Random(23)
     z = zeta(1)
@@ -440,7 +455,7 @@ def _depth(t) -> int:
 
 def _random_v_element(rng: random.Random, n: int) -> VElement:
     def tree():
-        return tree_from_splits(rng.randint(1, k) for k in range(1, n))
+        return parse_tree(" ".join(reversed([f"f{rng.randint(1, k)}" for k in range(1, n)])) or ".")
 
     return VElement(tree(), tree(), Perm(rng.sample(range(1, n + 1), n)))
 

@@ -46,12 +46,11 @@ from forestrep.trees import (
     parse_tree,
     residual_forest,
     tree_from_depths,
-    tree_from_splits,
 )
 
 
 def x0() -> VElement:
-    return VElement(named_tree("d"), named_tree("c"))
+    return VElement(parse_tree("f2 f1"), parse_tree("f1 f1"))
 
 
 def rotation2() -> VElement:
@@ -115,7 +114,7 @@ def test_full_cancellation():
 
 def test_known_reduced_elements_unchanged():
     g = x0()
-    assert g.domain == depths(named_tree("d")) and g.range == depths(named_tree("c"))
+    assert g.domain == named_tree("d") and g.range == named_tree("c")
     for n in range(2, 7):
         gn = family_gn(n)
         assert gn.leaf_count == 2 * n
@@ -178,7 +177,7 @@ def _reduce_by_rescan(domain, range_, perm):
 
 
 def _random_tree(rng, n):
-    return tree_from_splits(rng.randint(1, k) for k in range(1, n))
+    return parse_tree(" ".join(reversed([f"f{rng.randint(1, k)}" for k in range(1, n)])) or ".")
 
 
 def test_reduction_matches_rescan_reference():
@@ -335,8 +334,8 @@ def test_inverse_is_already_reduced():
 def test_commutator_identity():
     g, h, k = builtin("g"), builtin("h"), builtin("k")
     assert g * h * ~g * ~h == k
-    assert k.range == depths(named_tree("a"))
-    assert k.domain == depths(named_tree("q"))
+    assert k.range == named_tree("a")
+    assert k.domain == named_tree("q")
     assert k.perm.is_identity()
 
 
@@ -559,9 +558,30 @@ def test_production_routes_build_no_tree(monkeypatch):
     # text is written from the leaf depths too
     texts = [format_element_literal(g) for g in elements] + [element_to_json(g) for g in elements]
     assert calls == {"caret": 0, "tree_from_depths": 0}
-    # parsing builds trees, and the counters see them
+    # parsing and the named families write leaf depths too
     assert [parse_element_literal(text) for text in texts[: len(elements)]] == elements
-    assert calls["caret"] > 0 and calls["tree_from_depths"] > 0
+    assert [element_from_json(data) for data in texts[len(elements) :]] == elements
+    assert parse_element_literal("a/q") == builtin("k")
+    built = [builtin(name) for name in "ghk"] + [family_kn(2), family_gn(30), inflated_element("h", 3)]
+    built += [*standard_generators(), VElement.identity()]
+    assert calls == {"caret": 0, "tree_from_depths": 0}
+    # the same elements as the public constructor builds from their trees
+    assert built == [VElement(*element_trees(g), g.perm) for g in built]
+
+
+def test_parsing_adds_no_interned_caret():
+    # literals of fresh random shapes leave the caret table as it was
+    rng = random.Random(53)
+    triples = []
+    for n in (50, 200, 400):
+        range_, domain = (" ".join([f"f{rng.randint(1, k)}" for k in range(1, n)][::-1]) for _ in range(2))
+        triples.append((range_, domain, rng.sample(range(1, n + 1), n)))
+    before = len(trees._CARETS)
+    parsed = [parse_element_literal(f"({r})/({d})~{images}") for r, d, images in triples]
+    parsed += [element_from_json({"domain": d, "range": r, "perm": images}) for r, d, images in triples]
+    assert len(trees._CARETS) == before
+    built = [VElement(parse_tree(d), parse_tree(r), images) for r, d, images in triples]
+    assert parsed == built * 2 and len(trees._CARETS) > before
 
 
 def test_make_element_validation():

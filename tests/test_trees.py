@@ -28,14 +28,12 @@ from forestrep.trees import (
     enumerate_trees,
     format_tree,
     graft,
-    leaf_cells,
     merge_trees,
     parse_tree,
     residual_forest,
     split_sequence,
     subrooted_trees,
     tree_from_depths,
-    tree_from_splits,
 )
 
 
@@ -110,6 +108,50 @@ def test_parse_errors():
         parse_tree("")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("f0", "split index 0 exceeds current leaf count 1"),
+        ("f2", "split index 2 exceeds current leaf count 1"),
+        ("f1 f3", "split index 3 exceeds current leaf count 1"),
+        ("(f1 f0)", "split index 0 exceeds current leaf count 1"),
+        ("(. ", "unexpected end of tree text at position 2"),
+        ("", "empty tree text"),
+        ("   ", "empty tree text"),
+        ("(. x)", "bad product token '.'"),
+        ("((. .)", "bad product token '(.'"),
+        ("(f3 f1", "unexpected character 'f' at position 1"),
+        (")(", "bad product token ')('"),
+        ("()", "unexpected character ')' at position 1"),
+        ("(. .", "expected ')' at position 4"),
+        ("(. .))", "bad product token '.'"),
+        ("(. .) .", "trailing text at position 6"),
+        ("(.)", "bad product token '.'"),
+        ("(( . . ) )", "bad product token '('"),
+        ("(f1) (f1)", "bad product token 'f1)'"),
+        (". .", "bad product token '.'"),
+        ("f1 g2", "bad product token 'g2'"),
+        ("f1.5", "bad product token 'f1.5'"),
+        # digits int() refuses, which used to escape as a ValueError
+        ("f\u00b2", "bad product token 'f\u00b2'"),
+        pytest.param("f" + "9" * 5000, f"bad product token 'f{'9' * 39}...'", id="f9x5000"),
+    ],
+)
+def test_parse_refusals(text, message):
+    # a bracketed text that is not a tree is refused as the product inside
+    with pytest.raises(ParseError) as info:
+        parse_tree(text)
+    assert str(info.value) == message
+
+
+def test_parse_spellings():
+    # brackets and spaces that a tree text may carry
+    for text, leaves in (("( f1 )", (1, 1)), ("(..)", (1, 1)), ("( (. .) . )", (2, 2, 1)), (" . ", (0,))):
+        assert depths(parse_tree(text)) == leaves
+    # a split index in other decimal digits is read as int() reads it
+    assert parse_tree("f\u0661 f01") == parse_tree("f1 f1")
+
+
 def test_compose_examples():
     t = compose(_elementary(1, 2), _elementary(1, 1))
     assert t.trees[0] == parse_tree("f1 f1")
@@ -169,20 +211,20 @@ def test_complete_tree():
 def test_decompose_recompose_round_trip():
     for n in range(1, 9):
         for t in enumerate_trees(n):
-            assert tree_from_splits(split_sequence(t)) == t
+            assert parse_tree(" ".join(f"f{i}" for i in reversed(split_sequence(t))) or ".") == t
             # same thing through forest composition
             f = _trivial(1)
             for i in split_sequence(t):
                 f = compose(_elementary(i, f.leaf_count), f)
             assert f.trees[0] == t
-    with pytest.raises(ContractError):
-        tree_from_splits([1, 3])
+    with pytest.raises(ParseError, match="^split index 3 exceeds current leaf count 2$"):
+        parse_tree("f3 f1")
 
 
 def test_leaf_cells_tile_and_rebuild():
     for n in range(1, 9):
         for t in enumerate_trees(n):
-            cells = leaf_cells(t)
+            cells = depths(t).cells()
             assert len(cells) == n
             # each cell starts where the previous one ends; the last ends at 1
             end = Fraction(0)
@@ -191,7 +233,7 @@ def test_leaf_cells_tile_and_rebuild():
                 end = Fraction(index + 1, 2**depth)
             assert end == 1
             assert tree_from_depths([d for _, d in cells]) == t
-    assert leaf_cells(parse_tree("f1 f1")) == [(0, 2), (1, 2), (1, 1)]
+    assert depths(parse_tree("f1 f1")).cells() == [(0, 2), (1, 2), (1, 1)]
     for bad in ([], [1], [0, 0], [1, 1, 1], [2, 1, 2], [1, 2]):
         with pytest.raises(ContractError):
             tree_from_depths(bad)
@@ -224,7 +266,7 @@ def test_equal_trees_are_one_object():
         for t in enumerate_trees(n):
             assert parse_tree(format_tree(t, "product")) is t
             assert parse_tree(format_tree(t, "parens")) is t
-            assert tree_from_depths([d for _, d in leaf_cells(t)]) is t
+            assert tree_from_depths([d for _, d in depths(t).cells()]) is t
             for entry in subrooted_trees(t):
                 assert graft(entry.tree, residual_forest(t, entry.tree)) is t
                 assert merge_trees(depths(entry.tree), depths(t)) == depths(t)
@@ -240,7 +282,7 @@ def test_equal_trees_are_one_object():
         comb = caret(comb, LEAF)
     assert parse_tree(" ".join(["f1"] * 3000)) == comb
     assert {comb: 1}[tree_from_depths([3000] + list(range(3000, 0, -1)))] == 1
-    assert tree_from_splits(range(1, 3001)) == parse_tree("(. " * 3000 + "." + ")" * 3000)
+    assert parse_tree(" ".join(f"f{i}" for i in range(3000, 0, -1))) == parse_tree("(. " * 3000 + "." + ")" * 3000)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +470,7 @@ def _merge_by_co_walk(u: Tree, v: Tree) -> Tree:
 
 
 def _split_tree(rng, n: int) -> Tree:
-    return tree_from_splits(rng.randint(1, k) for k in range(1, n))
+    return parse_tree(" ".join(reversed([f"f{rng.randint(1, k)}" for k in range(1, n)])) or ".")
 
 
 def test_merge_trees_matches_tree_merge():
@@ -451,6 +493,19 @@ def test_merge_trees_matches_tree_merge():
             assert merge_trees(depths(u), depths(v)) == depths(_merge_by_co_walk(u, v))
 
 
+def _cells_by_walk(t) -> list[tuple[int, int]]:
+    """(index, depth) of each leaf cell, by walking the nodes: a caret's
+    children halve its cell."""
+    out, stack = [], [(t, 0, 0)]
+    while stack:
+        node, index, depth = stack.pop()
+        if node is LEAF:
+            out.append((index, depth))
+        else:
+            stack += [(node.right, 2 * index + 1, depth + 1), (node.left, 2 * index, depth + 1)]
+    return out
+
+
 def test_depths_cells_match_leaf_cells():
     trees = [t for n in range(1, 9) for t in enumerate_trees(n)]
     rng = random.Random(9)
@@ -459,7 +514,7 @@ def test_depths_cells_match_leaf_cells():
     for t in trees:
         d = depths(t)
         assert d.leaf_count == t.leaf_count and tree_from_depths(d) is t
-        assert d.cells() == leaf_cells(tree_from_depths(d)) == leaf_cells(t)
+        assert d.cells() == _cells_by_walk(t)
 
 
 def test_merge_and_residual():
