@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .errors import ContractError, _exact, _integer
 from .ring import RingElem
 from .thompson import Perm, VElement, inverse, multiply
-from .trees import caret_positions, depths, enumerate_trees
+from .trees import caret_positions, enumerate_depths
 
 
 def _exact_alpha(where: str, alpha) -> Fraction:
@@ -238,7 +238,8 @@ def _cover_counts(classes, n: int) -> dict[tuple[int, int], int]:
 
 def phi_alpha_eval(g: VElement, alpha) -> Fraction:
     """Exact rational value of phi_alpha at a rational parameter in [0, 1]."""
-    return phi_alpha(g).eval(_exact_alpha("phi_alpha_eval", alpha))
+    alpha = _exact_alpha("phi_alpha_eval", alpha)  # before any cover sum
+    return phi_alpha(g).eval(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +389,15 @@ class VanishRow(NamedTuple):
 
 def reduced_rotation_elements(max_leaves: int):
     """All reduced (tree, tree, rotation) triples with up to max_leaves leaves,
-    in deterministic order.
+    in the order of ``enumerate_trees``, from ``enumerate_depths``: no tree.
 
     Rotation c cancels a caret exactly when it sends the leaves (k, k+1) of
-    a domain caret onto a range caret's leaves (k + c, k + c + 1), so only the
-    offsets with no such k are built.
+    a domain caret onto a range caret's leaves (k + c, k + c + 1), read from
+    the cells of the depths, so only the offsets with no such k are built.
     """
     for n in range(1, _integer("reduced_rotation_elements", "max_leaves", max_leaves) + 1):
-        trees = enumerate_trees(n)
-        leaves = [depths(t) for t in trees]
-        carets = [caret_positions(t) for t in trees]
+        leaves = enumerate_depths(n)
+        carets = [caret_positions(d) for d in leaves]
         rotations = [Perm.rotation(n, c) for c in range(n)]
         for range_leaves, range_carets in zip(leaves, carets):
             for domain_leaves, domain_carets in zip(leaves, carets):

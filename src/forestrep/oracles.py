@@ -42,6 +42,7 @@ from .trees import (
     Tree,
     _prefixes,
     _trees_by_size,
+    caret,
     caret_positions,
     collapse_caret,
     depths,
@@ -57,7 +58,7 @@ from .trees import (
 def enumerate_forests(m: int) -> tuple[Forest, ...]:
     """All forests with m leaves (any number of roots), deterministic order:
     by the first tree's leaf count, then the first tree, then the rest."""
-    trees = _trees_by_size("enumerate_forests", m)
+    trees = _trees_by_size("enumerate_forests", m, LEAF, caret)
     shapes: list[list[tuple[Tree, ...]]] = [[()]]
     for size in range(1, m + 1):
         shapes.append(

@@ -5,9 +5,9 @@ window vector zeta.  So a tree sends its root input to one shift power per
 leaf cell (i, d): shift^left_run(i, d) of the input on the first leaf, where
 i == 0, and of zeta on every other leaf.  Inner products of such tensors are
 products of rational shifted inner products.  The overlap of a group element
-moves the leaves of the reference vector's tree under the element's range
-with ``thompson.carry``, as ``multiply`` moves the leaves of its merge, and
-builds no refined tree.
+moves the leaves of the reference vector's tree from the element's domain
+under its range with ``thompson.carry``, the one routine by which
+``multiply`` also moves the leaves of its merge, and builds no refined tree.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def _overlap(g: VElement, m: int) -> tuple[Fraction, int, int]:
     """
     _check_level("almost_invariance", m)
     w = merge_trees(g.domain, Depths((m,) * 2**m))
-    moved, source = carry(w, g)
+    moved, source = carry(w, g.domain, g.range, g.perm._inv, list(range(len(w))))
     w_cells = w.cells()
     lags = Counter()
     for (c, e), t in zip(moved.cells(), source):

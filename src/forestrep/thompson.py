@@ -7,13 +7,15 @@ leaf bijection): leaf k of the domain partition is sent affinely onto leaf
 equality of elements is equality of the depth tuples and the bijection.
 
 A product is written leaf by leaf from the depths of the merge of the two
-inner trees and never builds a tree; ``carry`` moves a refinement's leaves
-under an element's range, for ``multiply`` and for the shift overlap.  The
-constructor and ``multiply`` reduce on leaf cells, the (index, depth) of
-each leaf's dyadic interval, with one kernel, ``_reduce``.  The parsers
-and the named families write leaf depths directly; a tree is read into
-depths only by the public constructor, ``VElement(domain, range_, perm)``.
-Text is written from the leaf depths.
+inner trees and never builds a tree: ``carry`` moves the merge's leaves
+under g's range through g's bijection and under h's domain through h's read
+backwards, as it moves the shift overlap's.  The constructor and
+``multiply`` reduce on leaf cells, the (index, depth) of each leaf's dyadic
+interval, with one kernel, ``_reduce``, and ``eval_pl`` maps a point from
+a domain cell onto its range cell.  The parsers and the named families
+write leaf depths directly; a tree is read into depths only by the public
+constructor, ``VElement(domain, range_, perm)``.  Text is written from the
+leaf depths.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 
 from .errors import ContractError, ParseError, _echo, _exact, _integer
 from .trees import Depths, depths, format_tree, leaves_below, merge_trees, parse_depths
@@ -232,51 +233,42 @@ def _reduce(domain: Depths, range_: Depths, perm) -> tuple[Depths, Depths, Perm]
     )
 
 
-def carry(w: Depths, g: VElement) -> tuple[Depths, list[int]]:
-    """Move the leaves of w, a refinement of g's domain, under g's range.
+def carry(w: Depths, source: Depths, target: Depths, order, carried) -> tuple[Depths, list]:
+    """Move the leaves of w, a refinement of tree source, under tree target.
 
-    The leaves of w below g's domain leaf b are consecutive; they go, in
-    order, under the range leaf that b is sent to, each as many levels
-    deeper as that range leaf lies below b.  Returns the moved leaves'
-    depths in range order and, for each, its index in w.
+    Target leaf a draws on source leaf order[a] (zero-based): the leaves of
+    w below that leaf are consecutive and go, in order, under leaf a, each
+    as many levels deeper as leaf a lies below it.  carried[t] rides along
+    with leaf t of w.  Returns the moved leaves' depths in target order and
+    what each carries.
     """
-    domain, range_ = g.domain, g.range
-    ends = leaves_below(w, domain)
+    ends = leaves_below(w, source)
     starts = [0, *ends]
-    moved, source = [], []
-    for a, b in enumerate(g.perm._inv):
+    moved, out = [], []
+    for a, b in enumerate(order):
         start, end = starts[b], ends[b]
-        moved += map((range_[a] - domain[b]).__add__, w[start:end])
-        source += range(start, end)
-    return Depths(moved), source
+        moved += map((target[a] - source[b]).__add__, w[start:end])
+        out += carried[start:end]
+    return Depths(moved), out
 
 
 def multiply(g: VElement, h: VElement) -> VElement:
     """Group product; (g*h) acts as g after h on [0, 1).
 
-    Both g's domain and h's range are prefixes of their merge W, so the
-    leaves of W below each of their leaves are consecutive.  Carried under
-    g's range, W's leaves are the product's range leaves.  Each product
-    domain leaf is a leaf of W below some leaf c of h's range, moved under
-    the h domain leaf sent to c, and is sent to the range leaf its W leaf
-    became.  A leaf moved from depth e to depth e2 gains e2 - e levels, so
-    the product's leaf depths and images are written straight from the
-    depths of W, and its cells are reduced once.
+    Both g's domain and h's range are prefixes of their merge W.  Carried
+    under g's range through g's bijection, W's leaves are the product's
+    range leaves.  Carried under h's domain through h's bijection read
+    backwards, each taking along the range leaf it became, they are the
+    product's domain leaves and images.  So the product is written straight
+    from the depths of W, and its cells are reduced once.
     """
-    h_domain, h_range = h.domain, h.range
-    w = merge_trees(g.domain, h_range)
-    range_, source = carry(w, g)
+    w = merge_trees(g.domain, h.range)
+    range_, source = carry(w, g.domain, g.range, g.perm._inv, list(range(len(w))))
     # the 1-based product range leaf of each W leaf, in W order: a C-level
     # sort inverts source, whose runs are already sorted
     target = sorted(range(1, len(w) + 1), key=[0, *source].__getitem__)
-    ends = leaves_below(w, h_range)
-    starts = [0, *ends]
-    domain, images = [], []
-    for k, c in enumerate(h.perm.images):
-        start, end = starts[c - 1], ends[c - 1]
-        domain += map((h_domain[k] - h_range[c - 1]).__add__, w[start:end])
-        images += target[start:end]
-    return VElement._from_reduced(*_reduce(Depths(domain), range_, images))
+    domain, images = carry(w, h.range, h.domain, map((-1).__add__, h.perm.images), target)
+    return VElement._from_reduced(*_reduce(domain, range_, images))
 
 
 def inverse(g: VElement) -> VElement:
@@ -328,24 +320,17 @@ def eval_pl(g: VElement, x) -> Fraction:
         raise ContractError("eval_pl: x is not a dyadic rational")
     if not 0 <= num < den:
         raise ContractError("eval_pl: argument must lie in [0, 1)")
-    # x = num / 2^s; the domain cells end at ends[k] / 2^top, so x's cell is
-    # the first that ends past floor(x * 2^top)
+    # x = num / 2^s lies in the last domain cell (i, d) that starts at or
+    # before floor(x * 2^top), top the finest domain depth
     s = den.bit_length() - 1
-    domain, range_ = g.domain, g.range
-    top = max(domain)
-    ends = list(accumulate(map((1).__lshift__, map(top.__sub__, domain))))
-    k = bisect_right(ends, (num << top) >> s)
-    d = domain[k]
-    # x lies off / 2^(top + s) into its cell, which is stretched by 2^(d - r)
-    # onto range leaf j; that leaf starts at start / 2^r_top
-    off = (num << top) - ((ends[k] - (1 << (top - d))) << s)
-    j = g.perm.images[k] - 1
-    head = range_[:j]
-    r_top = max(head, default=0)
-    start = sum(map((1).__lshift__, map(r_top.__sub__, head)))
-    shift = top + s - d + range_[j]
-    scale = max(shift, r_top)
-    return Fraction((start << (scale - r_top)) + (off << (scale - shift)), 1 << scale)
+    top = max(g.domain)
+    cells = g.domain.cells()
+    k = bisect_right(cells, (num << top) >> s, key=lambda cell: cell[0] << (top - cell[1])) - 1
+    i, d = cells[k]
+    # stretched by 2^(d - e) onto range cell (c, e), x - i/2^d goes to
+    # (num * 2^d - i * 2^s) / 2^(s + e) past c/2^e
+    c, e = g.range.cells()[g.perm.images[k] - 1]
+    return Fraction((num << d) + ((c - i) << s), 1 << (s + e))
 
 
 # ---------------------------------------------------------------------------

@@ -153,10 +153,10 @@ def complete_tree(n: int) -> Tree:
     return t
 
 
-def caret_positions(t: Tree) -> tuple[int, ...]:
-    """Leaf indices i such that leaves i and i+1 are the children of one caret:
-    their cells have one depth and the first has an even index."""
-    cells = depths(t).cells()
+def caret_positions(t: Tree | Depths) -> tuple[int, ...]:
+    """Leaf indices i such that leaves i and i+1 of a Tree or leaf depths are
+    one caret's children: their cells have one depth, the first an even index."""
+    cells = (t if isinstance(t, Depths) else depths(t)).cells()
     return tuple(
         k for k, ((index, depth), (_, other)) in enumerate(zip(cells, cells[1:]), 1)
         if depth == other and index % 2 == 0
@@ -475,21 +475,26 @@ def _subtree_end(leaves, k: int, depth: int) -> int:
 
 def enumerate_trees(n: int) -> tuple[Tree, ...]:
     """All trees with n leaves in a fixed deterministic order."""
-    return _trees_by_size("enumerate_trees", n)[n]
+    return _trees_by_size("enumerate_trees", n, LEAF, caret)[n]
 
 
-def _trees_by_size(caller: str, n: int) -> list[tuple[Tree, ...]]:
-    """The trees with k leaves for k = 0..n, none for k = 0; caret(left, right)
-    ordered by the left leaf count, then the left tree, then the right."""
+def enumerate_depths(n: int) -> tuple[Depths, ...]:
+    """The leaf depths of enumerate_trees(n), in order, with no tree built."""
+    return _trees_by_size("enumerate_depths", n, Depths((0,)), lambda u, v: Depths(map((1).__add__, u + v)))[n]
+
+
+def _trees_by_size(caller: str, n: int, leaf, join) -> list[tuple]:
+    """The trees with k leaves for k = 0..n, none for k = 0, built from leaf by
+    join(left, right), ordered by the left leaf count, then left, then right."""
     if _integer(caller, "leaf count", n) < 1:
         raise ContractError(f"{caller}: leaf count must be >= 1")
     if n > ENUM_LEAF_CAP:
         raise ContractError(f"{caller}: leaf count {n} exceeds bound {ENUM_LEAF_CAP}")
-    out: list[tuple[Tree, ...]] = [(), (LEAF,)]
+    out: list[tuple] = [(), (leaf,)]
     for size in range(2, n + 1):
         out.append(
             tuple(
-                caret(left, right)
+                join(left, right)
                 for k in range(1, size)
                 for left in out[k]
                 for right in out[size - k]

@@ -271,11 +271,23 @@ def test_phi_alpha_inverse_symmetric():
         assert phi_alpha(inverse(g)) == phi_alpha(g)
 
 
-def test_phi_alpha_eval_contract():
+def test_phi_alpha_eval_contract(monkeypatch):
     with pytest.raises(ContractError):
         phi_alpha_eval(VElement.identity(), Fraction(3, 2))
     with pytest.raises(ContractError):
         phi_alpha_eval(VElement.identity(), Fraction(-1, 2))
+    # alpha is refused before any cover sum: g_10000 would spend its cover
+    # sum first, and the comb pair over the closure cap would report the cap
+    def no_cover_sum(g):
+        raise AssertionError("phi_alpha_eval ran the cover sum before checking alpha")
+
+    monkeypatch.setattr(coefficients, "_class_sum", no_cover_sum)
+    for g in (family_gn(10000), _block_reversed_comb_pair(7000, 1750)):
+        for alpha, message in ((Fraction(3, 2), r"alpha must lie in \[0, 1\]"), (0.5, "alpha is a float")):
+            with pytest.raises(ContractError, match=f"^phi_alpha_eval: {message}"):
+                phi_alpha_eval(g, alpha)
+    with pytest.raises(AssertionError, match="before checking alpha"):
+        phi_alpha_eval(family_gn(3), Fraction(1, 2))
 
 
 def test_phi_alpha_beta_free_on_samples():

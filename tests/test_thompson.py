@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from forestrep import trees
-from forestrep.coefficients import gram_psd_check, phi_alpha
+from forestrep.coefficients import gram_psd_check, phi_alpha, reduced_rotation_elements
 from forestrep.errors import ContractError, ParseError
 from forestrep.oracles import element_trees, inflate, pl_maps_equal, pl_value, random_elements, refine
 from forestrep.thompson import (
@@ -307,17 +307,25 @@ def test_multiply_matches_refinement_on_large_elements():
 def test_carry_matches_tree_refinement():
     # carried under g's range, the leaves of a refined domain are the leaves
     # of the range refined by the tree route, each from the domain leaf that
-    # the widened bijection sends there
+    # the widened bijection sends there; carried back under g's domain, with
+    # g's bijection read backwards, a refined range's leaves are those of the
+    # domain refined through the inverse bijection
     rng = random.Random(11)
     pool = [t for n in (1, 2, 3) for t in enumerate_trees(n)]
     for g in random_elements(300, 10, seed=11):
         domain, range_ = element_trees(g)
         f = Forest(rng.choice(pool) for _ in range(g.leaf_count))
         w = depths(graft(domain, f))
-        moved, source = carry(w, g)
+        moved, source = carry(w, g.domain, g.range, g.perm._inv, range(len(w)))
         refined, widened = refine(range_, g.perm, f)
         assert moved == depths(refined)
         assert source == [widened.inv(j) - 1 for j in range(1, len(w) + 1)]
+        w = depths(graft(range_, f))
+        tags = [f"leaf {t}" for t in range(len(w))]
+        moved, carried = carry(w, g.range, g.domain, [j - 1 for j in g.perm.images], tags)
+        refined, widened = refine(domain, g.perm.inverse(), f)
+        assert moved == depths(refined)
+        assert carried == [f"leaf {widened.inv(j) - 1}" for j in range(1, len(w) + 1)]
 
 
 def test_inverse_is_already_reduced():
@@ -555,6 +563,8 @@ def test_production_routes_build_no_tree(monkeypatch):
             eval_pl(g, x)
         almost_invariance(g, 2)
     assert gram_psd_check(elements[:8], Fraction(1, 2)).is_psd
+    # the rotation scan lists leaf depths and reads carets off their cells
+    assert sum(1 for _ in reduced_rotation_elements(7)) == 74_828
     # text is written from the leaf depths too
     texts = [format_element_literal(g) for g in elements] + [element_to_json(g) for g in elements]
     assert calls == {"caret": 0, "tree_from_depths": 0}

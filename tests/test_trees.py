@@ -25,6 +25,7 @@ from forestrep.trees import (
     complete_tree,
     compose,
     depths,
+    enumerate_depths,
     enumerate_trees,
     format_tree,
     graft,
@@ -542,6 +543,8 @@ def test_enumerate_trees_counts():
 def test_enumerate_trees_bound():
     with pytest.raises(ContractError):
         enumerate_trees(13)
+    with pytest.raises(ContractError, match="^enumerate_depths: leaf count 13 exceeds bound 12$"):
+        enumerate_depths(13)
 
 
 # recursive references for the enumeration, in the order the loops must keep
@@ -574,6 +577,8 @@ def test_enumeration_matches_recursive_order():
         got = enumerate_trees(n)
         assert len(got) == len(expected)
         assert all(a is b for a, b in zip(got, expected))
+        # the same enumeration joins leaf depths in the same order
+        assert list(enumerate_depths(n)) == [depths(t) for t in got]
     for m in range(1, 10):
         expected = _forest_shapes_by_recursion(m)
         got = enumerate_forests(m)
