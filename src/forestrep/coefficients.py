@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .errors import ContractError, _exact, _integer
 from .ring import RingElem
 from .thompson import Perm, VElement, inverse, multiply
-from .trees import caret_positions, enumerate_depths
+from .trees import ENUM_LEAF_CAP, caret_positions, enumerate_depths
 
 
 def _exact_alpha(where: str, alpha) -> Fraction:
@@ -390,12 +390,21 @@ class VanishRow(NamedTuple):
 def reduced_rotation_elements(max_leaves: int):
     """All reduced (tree, tree, rotation) triples with up to max_leaves leaves,
     in the order of ``enumerate_trees``, from ``enumerate_depths``: no tree.
+    More triples than _SCAN_TRIPLE_CAP, counted to at most ENUM_LEAF_CAP
+    leaves, are refused at the first ``next()``, before any is listed.
 
     Rotation c cancels a caret exactly when it sends the leaves (k, k+1) of
     a domain caret onto a range caret's leaves (k + c, k + c + 1), read from
     the cells of the depths, so only the offsets with no such k are built.
     """
-    for n in range(1, _integer("reduced_rotation_elements", "max_leaves", max_leaves) + 1):
+    counted = min(_integer("reduced_rotation_elements", "max_leaves", max_leaves), ENUM_LEAF_CAP)
+    triples = _rotation_triples(counted)
+    if triples > _SCAN_TRIPLE_CAP:
+        raise ContractError(
+            f"reduced_rotation_elements: max_leaves {max_leaves} means screening at least {triples} triples"
+            f" of two trees and a rotation, over the cap of {_SCAN_TRIPLE_CAP}"
+        )
+    for n in range(1, max_leaves + 1):
         leaves = enumerate_depths(n)
         carets = [caret_positions(d) for d in leaves]
         rotations = [Perm.rotation(n, c) for c in range(n)]
@@ -433,15 +442,9 @@ def vanishing_scan(alpha, max_leaves: int) -> list[VanishRow]:
     alpha = _exact_alpha("vanishing_scan", alpha)
     if _integer("vanishing_scan", "max_leaves", max_leaves) < 0:
         raise ContractError(f"vanishing_scan: max_leaves {max_leaves} is negative")
-    triples = _rotation_triples(max_leaves)
-    if triples > _SCAN_TRIPLE_CAP:
-        raise ContractError(
-            f"vanishing_scan: max_leaves {max_leaves} means screening {triples} triples"
-            f" of two trees and a rotation, over the cap of {_SCAN_TRIPLE_CAP}"
-        )
-    per_n: dict[int, list[tuple[VElement, Fraction]]] = {n: [] for n in range(1, max_leaves + 1)}
+    per_n: dict[int, list[tuple[VElement, Fraction]]] = {}
     for g in reduced_rotation_elements(max_leaves):
-        per_n[g.leaf_count].append((g, phi_alpha_eval(g, alpha)))
+        per_n.setdefault(g.leaf_count, []).append((g, phi_alpha_eval(g, alpha)))
     rows = []
     for n in range(1, max_leaves + 1):
         expected = alpha ** (2 * n - 2)

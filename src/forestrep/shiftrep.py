@@ -40,6 +40,8 @@ class SparseVec:
 
     def __init__(self, entries: dict | None = None):
         entries = entries or {}
+        if set(map(type, entries)) - {int}:
+            raise ContractError("SparseVec: every key must be an int")
         if set(map(type, entries.values())) - {int, Fraction}:
             raise ContractError("SparseVec: every value must be an int or a Fraction")
         self.entries = {k: v for k, v in entries.items() if v}

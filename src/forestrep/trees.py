@@ -1,6 +1,7 @@
 """Binary planar trees and forests.
 
-A tree is either the single leaf ``LEAF`` or a caret joining two subtrees.
+A tree is either the single leaf ``LEAF`` or a caret joining two subtrees,
+a plain value held by no table: trees are equal when their leaf depths are.
 Group elements hold a tree as its leaf depths, left to right (``Depths``,
 read off a tree by the one walk ``depths``), from which the leaf cells
 (``Depths.cells``) and the merge of two trees are computed.
@@ -25,17 +26,23 @@ PREFIX_TABLE_CAP = 36_330_498
 
 
 class Tree:
-    """Immutable rooted binary tree node.
-
-    Every caret is interned: ``Tree(left, right)`` and ``caret(left, right)``
-    return the one node of that shape, so equality and hashing are by
-    identity, and a node is a leaf exactly when it is ``LEAF``.
-    """
+    """Immutable rooted binary tree node, compared by value: two trees are
+    equal, and hash alike, exactly when their leaf depths are equal.  A node
+    is a leaf exactly when it is ``LEAF``."""
 
     __slots__ = ("left", "right", "leaf_count")
 
-    def __new__(cls, left: "Tree", right: "Tree") -> "Tree":
-        return caret(left, right)
+    def __init__(self, left: "Tree", right: "Tree"):
+        self.left, self.right = left, right
+        self.leaf_count = left.leaf_count + right.leaf_count
+
+    def __eq__(self, other):
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return self is other or (self.leaf_count == other.leaf_count and depths(self) == depths(other))
+
+    def __hash__(self):
+        return hash(depths(self))
 
     def __repr__(self):
         return f"Tree({format_tree(self)!r})"
@@ -46,18 +53,7 @@ LEAF = object.__new__(Tree)
 LEAF.left = LEAF.right = None
 LEAF.leaf_count = 1
 
-_CARETS: dict[tuple[Tree, Tree], Tree] = {}
-
-
-def caret(left: Tree, right: Tree) -> Tree:
-    node = _CARETS.get((left, right))
-    if node is None:
-        node = object.__new__(Tree)
-        node.left, node.right = left, right
-        node.leaf_count = left.leaf_count + right.leaf_count
-        # setdefault is atomic, so racing threads still get one node per key
-        node = _CARETS.setdefault((left, right), node)
-    return node
+caret = Tree  # the builder's name for a caret joining two subtrees
 
 
 class Depths(tuple):
@@ -228,13 +224,13 @@ def _assemble(items, join):
 
 
 def _co_walk(u: Tree, v: Tree) -> list[tuple[Tree, Tree, int]]:
-    """(u node, v node, depth), left to right, at each position where u and v
-    share a subtree or either has a leaf, below carets of both trees."""
+    """(u node, v node, depth), left to right, at each position where either
+    tree has a leaf, below carets of both trees."""
     out = []
     stack = [(u, v, 0)]
     while stack:
         a, b, d = stack.pop()
-        while not (a is LEAF or b is LEAF or a is b):
+        while not (a is LEAF or b is LEAF):
             d += 1
             stack.append((a.right, b.right, d))
             a, b = a.left, b.left
@@ -407,12 +403,10 @@ def _prefix_table_size(t: Tree) -> int:
 
 def residual_forest(w: Tree, z: Tree) -> Forest:
     """The forest f with compose(f, z) = w; z must be a prefix of w."""
-    out: list[Tree] = []
-    for a, b, _ in _co_walk(w, z):
-        if not (b is LEAF or a is b):
-            raise ContractError("residual_forest: second tree is not a prefix of the first")
-        out += [a] if b is LEAF else [LEAF] * a.leaf_count
-    return Forest(out)
+    pairs = _co_walk(w, z)
+    if any(b is not LEAF for _, b, _ in pairs):
+        raise ContractError("residual_forest: second tree is not a prefix of the first")
+    return Forest(a for a, _, _ in pairs)
 
 
 def merge_trees(u: Depths, v: Depths) -> Depths:

@@ -805,6 +805,14 @@ def test_vanishing_scan_contract():
         vanishing_scan(Fraction(1, 2), 20)
     with pytest.raises(ContractError):
         vanishing_scan(Fraction(3, 2), 3)
+    # the generator itself refuses past the cap at its first next(), before
+    # it lists a single element
+    for max_leaves, triples in ((8, 1_605_975), (13, 44_829_087_843), (10**9, 44_829_087_843)):
+        start = time.perf_counter()
+        elements = reduced_rotation_elements(max_leaves)
+        with pytest.raises(ContractError, match=f"max_leaves {max_leaves} means screening at least {triples} triples"):
+            next(elements)
+        assert time.perf_counter() - start < 0.1
 
 
 class _FractionSubclass(Fraction):

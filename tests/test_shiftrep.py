@@ -92,6 +92,12 @@ def test_sparse_vec_refuses_inexact_values():
     for value in (0.1, 1.0, "1/3", True, False, None):
         with pytest.raises(ContractError, match="must be an int or a Fraction"):
             SparseVec({0: 1, 1: value})
+    # a vector lives on Z, so a key that is no int is refused the same way
+    for key in ("a", 0.5, 1.0, True, Fraction(1), None):
+        with pytest.raises(ContractError, match="^SparseVec: every key must be an int$"):
+            SparseVec({0: 1, key: 1})
+    with pytest.raises(ContractError, match="every key must be an int"):
+        c_constant(UnitVec(SparseVec({"a": 1})))
 
 
 def test_zeta_window():

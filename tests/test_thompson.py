@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -522,13 +523,13 @@ def test_json_round_trip():
 
 
 def test_uninterned_literals_give_equal_elements():
-    # Tree(left, right) is the interned caret, so either spelling gives one
-    # tree and one element
-    assert Tree(LEAF, LEAF) is caret(LEAF, LEAF)
+    # Tree(left, right) and caret build equal trees, so either spelling gives
+    # one element
+    assert Tree(LEAF, LEAF) == caret(LEAF, LEAF) and hash(Tree(LEAF, LEAF)) == hash(caret(LEAF, LEAF))
     built = VElement(Tree(LEAF, LEAF), Tree(LEAF, LEAF), Perm((2, 1)))
-    interned = VElement(caret(LEAF, LEAF), caret(LEAF, LEAF), Perm((2, 1)))
-    assert format_element_literal(built) == format_element_literal(interned) == "f1/f1~[2, 1]"
-    assert built == interned and hash(built) == hash(interned) and len({built, interned}) == 1
+    by_caret = VElement(caret(LEAF, LEAF), caret(LEAF, LEAF), Perm((2, 1)))
+    assert format_element_literal(built) == format_element_literal(by_caret) == "f1/f1~[2, 1]"
+    assert built == by_caret and hash(built) == hash(by_caret) and len({built, by_caret}) == 1
     x1 = VElement(Tree(LEAF, Tree(LEAF, Tree(LEAF, LEAF))), Tree(LEAF, Tree(Tree(LEAF, LEAF), LEAF)))
     assert x1 == standard_generators()[1] and hash(x1) == hash(standard_generators()[1])
 
@@ -579,19 +580,30 @@ def test_production_routes_build_no_tree(monkeypatch):
     assert built == [VElement(*element_trees(g), g.perm) for g in built]
 
 
-def test_parsing_adds_no_interned_caret():
-    # literals of fresh random shapes leave the caret table as it was
+def test_dropped_trees_are_freed():
+    # literals of fresh random shapes give the elements their trees give
     rng = random.Random(53)
     triples = []
     for n in (50, 200, 400):
         range_, domain = (" ".join([f"f{rng.randint(1, k)}" for k in range(1, n)][::-1]) for _ in range(2))
         triples.append((range_, domain, rng.sample(range(1, n + 1), n)))
-    before = len(trees._CARETS)
     parsed = [parse_element_literal(f"({r})/({d})~{images}") for r, d, images in triples]
     parsed += [element_from_json({"domain": d, "range": r, "perm": images}) for r, d, images in triples]
-    assert len(trees._CARETS) == before
     built = [VElement(parse_tree(d), parse_tree(r), images) for r, d, images in triples]
-    assert parsed == built * 2 and len(trees._CARETS) > before
+    assert parsed == built * 2
+    # no table keeps a tree alive: building and dropping 300 fresh 200-leaf
+    # trees retains nothing
+    texts = [" ".join(f"f{rng.randint(1, k)}" for k in range(199, 0, -1)) for _ in range(300)]
+    parse_tree(texts[0])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for text in texts:
+            parse_tree(text)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 * 1024
 
 
 def test_make_element_validation():

@@ -252,31 +252,37 @@ def test_deep_trees_format_and_parse_without_recursion():
         t = parse_tree(text)
         assert _depth(t) == 2000
         assert format_tree(t) == text
-        assert parse_tree(format_tree(t, "parens")) is t
+        assert parse_tree(format_tree(t, "parens")) == t
     deep = "(" * 1200 + ". .)" + " .)" * 1199
     t = parse_tree(deep)
     assert _depth(t) == 1200 and t.leaf_count == 1201
     assert format_tree(t, "parens") == deep
-    assert parse_tree(format_tree(t)) is t
+    assert parse_tree(format_tree(t)) == t
 
 
-def test_equal_trees_are_one_object():
-    assert "__eq__" not in vars(Tree) and "__hash__" not in vars(Tree)
+def test_equal_trees_compare_by_leaf_depths():
+    # trees are plain values: equality and hashing read the leaf depths
+    assert "__eq__" in vars(Tree) and "__hash__" in vars(Tree)
     assert Tree.__slots__ == ("left", "right", "leaf_count")
     for n in range(1, 9):
         for t in enumerate_trees(n):
-            assert parse_tree(format_tree(t, "product")) is t
-            assert parse_tree(format_tree(t, "parens")) is t
-            assert tree_from_depths([d for _, d in depths(t).cells()]) is t
+            assert parse_tree(format_tree(t, "product")) == t
+            assert parse_tree(format_tree(t, "parens")) == t
+            rebuilt = tree_from_depths([d for _, d in depths(t).cells()])
+            assert rebuilt == t and hash(rebuilt) == hash(t)
             for entry in subrooted_trees(t):
-                assert graft(entry.tree, residual_forest(t, entry.tree)) is t
+                assert graft(entry.tree, residual_forest(t, entry.tree)) == t
                 assert merge_trees(depths(entry.tree), depths(t)) == depths(t)
                 assert merge_trees(depths(t), depths(entry.tree)) == depths(t)
             if t is not LEAF:
                 left, right = residual_forest(t, caret(LEAF, LEAF)).trees
-                assert left is t.left and right is t.right
-                # the constructor returns the interned caret
-                assert Tree(left, right) is t
+                assert left == t.left and right == t.right
+                # a separately built caret of the same shape is a new node
+                # that compares and hashes equal
+                built = Tree(left, right)
+                assert built is not t and built == t and hash(built) == hash(t) and {built: n}[t] == n
+        # trees of different shapes differ
+        assert len(set(enumerate_trees(n))) == catalan(n - 1)
     # deep combs built by different routes compare and hash without recursion
     comb = LEAF
     for _ in range(3000):
@@ -427,7 +433,7 @@ def test_leaf_cell_walks_match_recursive_references():
             reference = _subrooted_by_recursion(t)
             assert len(entries) == len(reference)
             for entry, (z, inner, words) in zip(entries, reference):
-                assert entry.tree is z and entry.inner_leaves == inner and entry.words == words
+                assert entry.tree == z and entry.inner_leaves == inner and entry.words == words
             assert _prefix_table_size(t) == sum(len(e.words) + sum(map(len, e.words)) for e in entries)
             checked += 1
     assert checked == sum(catalan(n - 1) for n in range(1, 9))
@@ -443,9 +449,16 @@ def test_deep_comb_walks_without_recursion():
     assert path_words(left) == ("a" * 2000,) + tuple("b" + "a" * k for k in range(1999, -1, -1))
     assert path_words(right) == tuple("a" + "b" * k for k in range(2000)) + ("b" * 2000,)
     assert caret_positions(left) == (1,) and caret_positions(right) == (2000,)
-    assert collapse_caret(left, 1) is left.left and collapse_caret(right, 2000) is right.right
+    assert collapse_caret(left, 1) == left.left and collapse_caret(right, 2000) == right.right
     with pytest.raises(ContractError, match="not siblings"):
         collapse_caret(left, 2)
+    # equality and hashing read the leaf depths by the one iterative walk
+    comb = LEAF
+    for _ in range(99_999):
+        comb = caret(comb, LEAF)
+    other = tree_from_depths([99_999] + list(range(99_999, 0, -1)))
+    assert comb is not other and comb == other and hash(comb) == hash(other)
+    assert comb != tree_from_depths(list(range(1, 100_000)) + [99_999])
 
 
 def test_prefix_table_refused_by_size():
@@ -514,7 +527,7 @@ def test_depths_cells_match_leaf_cells():
     trees += [parse_tree(" ".join(["f1"] * 1999)), parse_tree(" ".join(f"f{i}" for i in range(1999, 0, -1)))]
     for t in trees:
         d = depths(t)
-        assert d.leaf_count == t.leaf_count and tree_from_depths(d) is t
+        assert d.leaf_count == t.leaf_count and tree_from_depths(d) == t
         assert d.cells() == _cells_by_walk(t)
 
 
@@ -576,7 +589,7 @@ def test_enumeration_matches_recursive_order():
         expected = _trees_by_recursion(n)
         got = enumerate_trees(n)
         assert len(got) == len(expected)
-        assert all(a is b for a, b in zip(got, expected))
+        assert list(got) == list(expected)
         # the same enumeration joins leaf depths in the same order
         assert list(enumerate_depths(n)) == [depths(t) for t in got]
     for m in range(1, 10):
@@ -584,7 +597,7 @@ def test_enumeration_matches_recursive_order():
         got = enumerate_forests(m)
         assert len(got) == len(expected)
         assert all(
-            len(f.trees) == len(shape) and all(a is b for a, b in zip(f.trees, shape))
+            len(f.trees) == len(shape) and all(a == b for a, b in zip(f.trees, shape))
             for f, shape in zip(got, expected)
         )
 
